@@ -105,12 +105,22 @@ impl Activation for ChannelRelu {
             });
         }
         let features = self.features();
-        let x = input.as_slice();
+        let bounds = self.bounds.data().as_slice();
         let mut grad = grad_output.clone();
-        for (i, g) in grad.as_mut_slice().iter_mut().enumerate() {
-            let bound = self.bound_of(i % features);
-            if !(x[i] > 0.0 && x[i] <= bound) {
-                *g = 0.0;
+        for (g, x) in grad
+            .as_mut_slice()
+            .chunks_exact_mut(features)
+            .zip(input.as_slice().chunks_exact(features))
+        {
+            let planes = g
+                .chunks_exact_mut(self.plane)
+                .zip(x.chunks_exact(self.plane));
+            for ((g, x), &bound) in planes.zip(bounds) {
+                for (g, &x) in g.iter_mut().zip(x) {
+                    if !(x > 0.0 && x <= bound) {
+                        *g = 0.0;
+                    }
+                }
             }
         }
         Ok(grad)
@@ -126,13 +136,14 @@ impl Activation for ChannelRelu {
     }
 
     fn count_violations(&self, input: &Tensor) -> u64 {
-        let features = self.features();
-        input
-            .as_slice()
-            .iter()
-            .enumerate()
-            .filter(|&(i, &x)| x > self.bound_of(i % features))
-            .count() as u64
+        let bounds = self.bounds.data().as_slice();
+        let mut count = 0;
+        for sample in input.as_slice().chunks(self.features()) {
+            for (plane, &bound) in sample.chunks(self.plane).zip(bounds) {
+                count += plane.iter().filter(|&&x| x > bound).count() as u64;
+            }
+        }
+        count
     }
 
     fn params(&self) -> Vec<&Parameter> {

@@ -131,13 +131,17 @@ impl Activation for FitRelu {
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         let neurons = self.check_input(input)?;
-        self.cached_input = Some(input.clone());
         let bounds = self.bounds.data().as_slice();
         let mut out = input.clone();
-        for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
-            let lambda = bounds[i % neurons];
-            let inner = *v * self.gate(*v, lambda);
-            *v = inner.max(0.0);
+        for sample in out.as_mut_slice().chunks_exact_mut(neurons) {
+            for (v, &lambda) in sample.iter_mut().zip(bounds) {
+                let inner = *v * self.gate(*v, lambda);
+                *v = inner.max(0.0);
+            }
+        }
+        match &mut self.cached_input {
+            Some(cached) => cached.copy_from(input),
+            None => self.cached_input = Some(input.clone()),
         }
         Ok(out)
     }
@@ -156,26 +160,34 @@ impl Activation for FitRelu {
         }
         let neurons = self.num_neurons();
         let k = self.slope;
-        let bounds = self.bounds.data().as_slice().to_vec();
-        let x = input.as_slice();
-        let g = grad_output.as_slice();
         let mut grad_input = Tensor::zeros(input.dims());
-        let gi = grad_input.as_mut_slice();
-        let grad_lambda = self.bounds.grad_mut().as_mut_slice();
-        for i in 0..x.len() {
-            let neuron = i % neurons;
-            let lambda = bounds[neuron];
-            let xi = x[i];
-            // y = max(0, x·σ(k(λ−x))); the inner product is positive iff x > 0.
-            if xi <= 0.0 {
-                continue;
+        let (bounds, grad_lambda) = self.bounds.data_and_grad_mut();
+        let (bounds, grad_lambda) = (bounds.as_slice(), grad_lambda.as_mut_slice());
+        // Sample-major, so each λ gradient accumulates in sample order.
+        for ((gi, x), g) in grad_input
+            .as_mut_slice()
+            .chunks_exact_mut(neurons)
+            .zip(input.as_slice().chunks_exact(neurons))
+            .zip(grad_output.as_slice().chunks_exact(neurons))
+        {
+            for ((((gi, &xi), &g), &lambda), gl) in gi
+                .iter_mut()
+                .zip(x)
+                .zip(g)
+                .zip(bounds)
+                .zip(grad_lambda.iter_mut())
+            {
+                // y = max(0, x·σ(k(λ−x))); the inner product is positive iff x > 0.
+                if xi <= 0.0 {
+                    continue;
+                }
+                let s = sigmoid(k * (lambda - xi));
+                let ds = s * (1.0 - s);
+                // ∂y/∂x = σ + x · σ' · (−k) = s − k·x·s(1−s)
+                *gi = g * (s - k * xi * ds);
+                // ∂y/∂λ = x · σ' · k = k·x·s(1−s)
+                *gl += g * k * xi * ds;
             }
-            let s = sigmoid(k * (lambda - xi));
-            let ds = s * (1.0 - s);
-            // ∂y/∂x = σ + x · σ' · (−k) = s − k·x·s(1−s)
-            gi[i] = g[i] * (s - k * xi * ds);
-            // ∂y/∂λ = x · σ' · k = k·x·s(1−s)
-            grad_lambda[neuron] += g[i] * k * xi * ds;
         }
         Ok(grad_input)
     }
@@ -188,14 +200,7 @@ impl Activation for FitRelu {
     fn count_violations(&self, input: &Tensor) -> u64 {
         // λ_i is the detection threshold: the sigmoid gate starts squashing
         // at the bound, so x > λ_i is the smooth analogue of a hard clamp.
-        let neurons = self.num_neurons();
-        let bounds = self.bounds.data().as_slice();
-        input
-            .as_slice()
-            .iter()
-            .enumerate()
-            .filter(|&(i, &x)| x > bounds[i % neurons])
-            .count() as u64
+        super::count_above_bounds(input.as_slice(), self.bounds.data().as_slice())
     }
 
     fn params(&self) -> Vec<&Parameter> {

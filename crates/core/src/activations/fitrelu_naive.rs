@@ -106,11 +106,15 @@ impl Activation for FitReluNaive {
                 actual: grad_output.dims().to_vec(),
             });
         }
-        let x = input.as_slice();
-        for (i, g) in grad.as_mut_slice().iter_mut().enumerate() {
-            let lambda = bounds[i % neurons];
-            if !(x[i] > 0.0 && x[i] <= lambda) {
-                *g = 0.0;
+        for (g, x) in grad
+            .as_mut_slice()
+            .chunks_exact_mut(neurons)
+            .zip(input.as_slice().chunks_exact(neurons))
+        {
+            for ((g, &x), &lambda) in g.iter_mut().zip(x).zip(bounds) {
+                if !(x > 0.0 && x <= lambda) {
+                    *g = 0.0;
+                }
             }
         }
         Ok(grad)
@@ -126,14 +130,7 @@ impl Activation for FitReluNaive {
     }
 
     fn count_violations(&self, input: &Tensor) -> u64 {
-        let neurons = self.num_neurons();
-        let bounds = self.bounds.data().as_slice();
-        input
-            .as_slice()
-            .iter()
-            .enumerate()
-            .filter(|&(i, &x)| x > bounds[i % neurons])
-            .count() as u64
+        super::count_above_bounds(input.as_slice(), self.bounds.data().as_slice())
     }
 
     fn params(&self) -> Vec<&Parameter> {

@@ -28,6 +28,16 @@ pub use ranger::Ranger;
 /// providing useful gradients for bounds of order 1–10).
 pub const DEFAULT_SLOPE: f32 = 8.0;
 
+/// Counts the elements of `values` above their neuron's bound, where
+/// `values` holds samples of `bounds.len()` neurons back to back (a ragged
+/// tail is matched against the leading bounds).
+fn count_above_bounds(values: &[f32], bounds: &[f32]) -> u64 {
+    values
+        .chunks(bounds.len())
+        .map(|sample| sample.iter().zip(bounds).filter(|(x, b)| x > b).count() as u64)
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,32 +2,68 @@
 
 use crate::layers::{cache_input, Layer, Mode};
 use crate::{NnError, Parameter};
-use fitact_tensor::matmul::{matmul_into, Layout};
+use fitact_tensor::matmul::{matmul_into, matmul_nn_grouped, nn_group_len, Layout};
 use fitact_tensor::{
     col2im_into, conv_output_size, im2col_into, init, simd, NativeParam, Tensor, Workspace,
 };
 use rand::Rng;
+use std::cell::RefCell;
 
 /// Workspace slot holding the im2col column matrix.
 const WS_COLS: usize = 0;
 /// Workspace slot holding the `Wᵀ·g` column gradients during backward.
 const WS_DCOLS: usize = 1;
 
+thread_local! {
+    /// Forward scratch shared by every convolution on this thread:
+    /// `(columns, products)`. The f32 path holds a sample group's im2col
+    /// matrix and grouped product there; the f16/int8 path one sample's
+    /// transposed columns and output. Per thread rather than per layer, so
+    /// network clones carry no group-sized buffers, and warm forwards
+    /// allocate nothing.
+    static FORWARD_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Runs `f` on this thread's forward scratch, grown to at least `cols` and
+/// `products` elements and sliced to exactly those lengths.
+fn with_forward_scratch<R>(
+    cols: usize,
+    products: usize,
+    f: impl FnOnce(&mut [f32], &mut [f32]) -> R,
+) -> R {
+    FORWARD_SCRATCH.with(|cell| {
+        let (col_buf, product_buf) = &mut *cell.borrow_mut();
+        if col_buf.len() < cols {
+            col_buf.resize(cols, 0.0);
+        }
+        if product_buf.len() < products {
+            product_buf.resize(products, 0.0);
+        }
+        f(&mut col_buf[..cols], &mut product_buf[..products])
+    })
+}
+
 /// A 2-D convolution layer over `[batch, channels, height, width]` inputs.
 ///
 /// The convolution is lowered to a matrix multiplication with
 /// [`fitact_tensor::im2col`]: the weight tensor `[out_ch, in_ch, kh, kw]` is
 /// viewed as a `[out_ch, in_ch·kh·kw]` matrix and multiplied with the column
-/// matrix of every sample.
+/// matrices of the samples. In f32, small per-sample products are grouped:
+/// [`fitact_tensor::matmul::nn_group_len`] samples' columns sit side by side
+/// and one [`fitact_tensor::matmul::matmul_nn_grouped`] call multiplies them
+/// all, bit-identically to one product per sample.
 ///
 /// # Allocation behaviour
 ///
-/// All intermediates (column matrices, gradient staging) live in a
-/// per-layer [`Workspace`] and the weight matrix is a zero-copy view, so
-/// after the first batch of a given shape, [`Conv2d::forward_into`] performs
-/// **zero heap allocations** per call and [`Layer::forward`] performs exactly
-/// one (the returned output tensor). This is verified by the
-/// `conv_zero_alloc` integration test.
+/// Forward intermediates (column matrices, grouped products, transposed
+/// reduced-precision staging) live in a per-thread scratch shared by every
+/// convolution, backward staging in a per-layer [`Workspace`], and the
+/// weight matrix is a zero-copy view. So after the first batch of a given
+/// shape, [`Conv2d::forward_into`] performs **zero heap allocations** per
+/// call, in every precision, and [`Layer::forward`] performs exactly one (the
+/// returned output tensor). This is verified by the `conv_alloc`
+/// integration test.
 ///
 /// # Example
 ///
@@ -124,8 +160,9 @@ impl Conv2d {
     /// Computes the convolution into a caller-provided output tensor, which
     /// is reshaped (reusing its storage) to `[batch, out_ch, out_h, out_w]`.
     ///
-    /// This is the allocation-free entry point: with a warm workspace and an
-    /// `out` tensor of matching capacity, no heap allocation occurs.
+    /// This is the allocation-free entry point: once a batch of this shape
+    /// has warmed the scratch buffers on this thread, and with an `out`
+    /// tensor of matching capacity, no heap allocation occurs.
     ///
     /// # Errors
     ///
@@ -150,92 +187,109 @@ impl Conv2d {
         // [out_ch, in_ch·kh·kw] matrix; no reshape copy is needed.
         let wnative = self.weight.native();
         let bias = self.bias.data();
+        let oc = self.out_channels;
         if let Some(native) = wnative {
             // Reduced-precision weights: the dispatching kernels compute
             // row·Wᵀ products, so feed them the transposed column matrix
             // (one row per output position) and transpose the result back
             // into the [out_ch, spatial] feature-map layout.
-            let oc = self.out_channels;
             let cols = self.ws.buf(WS_COLS, kmat * spatial);
-            let mut rows = vec![0.0f32; spatial * kmat];
-            let mut yt = vec![0.0f32; spatial * oc];
-            for n in 0..batch {
-                let sample = &input.as_slice()[n * in_size..(n + 1) * in_size];
-                im2col_into(
-                    sample,
-                    (self.in_channels, h, w),
-                    (self.kernel, self.kernel),
-                    self.stride,
-                    self.padding,
-                    cols,
-                )?;
-                for (r, crow) in cols.chunks_exact(spatial).enumerate() {
-                    for (s, v) in crow.iter().enumerate() {
-                        rows[s * kmat + r] = *v;
+            return with_forward_scratch(spatial * kmat, spatial * oc, |rows, yt| {
+                for n in 0..batch {
+                    let sample = &input.as_slice()[n * in_size..(n + 1) * in_size];
+                    im2col_into(
+                        sample,
+                        (self.in_channels, h, w),
+                        (self.kernel, self.kernel),
+                        self.stride,
+                        self.padding,
+                        cols,
+                        (0, 1),
+                    )?;
+                    for (r, crow) in cols.chunks_exact(spatial).enumerate() {
+                        for (s, v) in crow.iter().enumerate() {
+                            rows[s * kmat + r] = *v;
+                        }
+                    }
+                    match native {
+                        NativeParam::F16(wq) => simd::matmul_f16(
+                            rows,
+                            wq.words(),
+                            Some(bias.as_slice()),
+                            yt,
+                            spatial,
+                            kmat,
+                            oc,
+                        ),
+                        NativeParam::Int8(wq) => simd::matmul_i8(
+                            rows,
+                            wq.q(),
+                            wq.scales(),
+                            wq.zero_points(),
+                            Some(bias.as_slice()),
+                            yt,
+                            spatial,
+                            kmat,
+                            oc,
+                        ),
+                    }
+                    let y = &mut out.as_mut_slice()[n * out_size..(n + 1) * out_size];
+                    for (s, yrow) in yt.chunks_exact(oc).enumerate() {
+                        for (c, v) in yrow.iter().enumerate() {
+                            y[c * spatial + s] = *v;
+                        }
                     }
                 }
-                match native {
-                    NativeParam::F16(wq) => simd::matmul_f16(
-                        &rows,
-                        wq.words(),
-                        Some(bias.as_slice()),
-                        &mut yt,
-                        spatial,
-                        kmat,
-                        oc,
-                    ),
-                    NativeParam::Int8(wq) => simd::matmul_i8(
-                        &rows,
-                        wq.q(),
-                        wq.scales(),
-                        wq.zero_points(),
-                        Some(bias.as_slice()),
-                        &mut yt,
-                        spatial,
-                        kmat,
-                        oc,
-                    ),
-                }
-                let y = &mut out.as_mut_slice()[n * out_size..(n + 1) * out_size];
-                for (s, yrow) in yt.chunks_exact(oc).enumerate() {
-                    for (c, v) in yrow.iter().enumerate() {
-                        y[c * spatial + s] = *v;
-                    }
-                }
-            }
-            return Ok(());
+                Ok(())
+            });
         }
+        // f32: lay `group` samples' columns side by side and multiply them
+        // in one product. The grouped kernel matches per-sample products
+        // bit for bit, so outputs do not depend on how a batch is split.
         let wmat = self.weight.data().as_slice();
-        let cols = self.ws.buf(WS_COLS, kmat * spatial);
-        for n in 0..batch {
-            let sample = &input.as_slice()[n * in_size..(n + 1) * in_size];
-            im2col_into(
-                sample,
-                (self.in_channels, h, w),
-                (self.kernel, self.kernel),
-                self.stride,
-                self.padding,
-                cols,
-            )?;
-            let y = &mut out.as_mut_slice()[n * out_size..(n + 1) * out_size];
-            matmul_into(
-                Layout::Nn,
-                wmat,
-                cols,
-                y,
-                self.out_channels,
-                kmat,
-                spatial,
-                false,
-            );
-            for (oc, row) in y.chunks_exact_mut(spatial).enumerate() {
-                let b = bias.as_slice()[oc];
-                for v in row {
-                    *v += b;
+        let group = nn_group_len(oc, kmat, spatial).min(batch).max(1);
+        with_forward_scratch(
+            kmat * group * spatial,
+            oc * group * spatial,
+            |cols, products| {
+                for first in (0..batch).step_by(group) {
+                    let g = group.min(batch - first);
+                    let cols = &mut cols[..kmat * g * spatial];
+                    let products = &mut products[..oc * g * spatial];
+                    for s in 0..g {
+                        let n = first + s;
+                        im2col_into(
+                            &input.as_slice()[n * in_size..(n + 1) * in_size],
+                            (self.in_channels, h, w),
+                            (self.kernel, self.kernel),
+                            self.stride,
+                            self.padding,
+                            cols,
+                            (s, g),
+                        )?;
+                    }
+                    matmul_nn_grouped(wmat, cols, products, oc, kmat, spatial, g);
+                    // Product row c holds channel c of every sample in the
+                    // group; scatter it into each sample's feature map, adding
+                    // the bias on the way.
+                    let y = &mut out.as_mut_slice()[first * out_size..(first + g) * out_size];
+                    for (c, (row, &b)) in products
+                        .chunks_exact(g * spatial)
+                        .zip(bias.as_slice())
+                        .enumerate()
+                    {
+                        for (s, src) in row.chunks_exact(spatial).enumerate() {
+                            let dst = &mut y
+                                [s * out_size + c * spatial..s * out_size + (c + 1) * spatial];
+                            for (d, &v) in dst.iter_mut().zip(src) {
+                                *d = v + b;
+                            }
+                        }
+                    }
                 }
-            }
-        }
-        Ok(())
+                Ok(())
+            },
+        )
     }
 }
 
@@ -328,6 +382,7 @@ impl Conv2d {
                 self.stride,
                 self.padding,
                 cols,
+                (0, 1),
             )?;
             let g = &grad_output.as_slice()[n * out_size..(n + 1) * out_size];
             // dW += g · colsᵀ, accumulated straight into the gradient.

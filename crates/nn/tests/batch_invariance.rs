@@ -5,11 +5,14 @@
 //! This is the contract the `fitact_serve` micro-batching scheduler builds
 //! on — coalescing concurrent requests into one forward pass must be a pure
 //! throughput optimisation, never a numerics change. It holds because every
-//! eval-mode layer is row-local: elementwise ops, per-sample conv/pool
-//! lowering, batch-norm running statistics — and the one batch-shaped
-//! matmul (`Linear`, `x·Wᵀ`) always takes the packed kernel whose per-row
-//! arithmetic is independent of the row count (pinned at the kernel level
-//! by `nt_rows_are_independent_of_row_count` in `fitact_tensor`).
+//! eval-mode layer is row-local: elementwise ops, per-sample pool lowering,
+//! batch-norm running statistics, convolutions whose grouped products pick
+//! their kernel per sample and match per-sample products bit for bit
+//! (pinned at the kernel level by
+//! `grouped_products_match_per_sample_products_bit_for_bit`) — and the one
+//! batch-shaped matmul (`Linear`, `x·Wᵀ`) always takes the packed kernel
+//! whose per-row arithmetic is independent of the row count (pinned by
+//! `nt_rows_are_independent_of_row_count`, both in `fitact_tensor`).
 //!
 //! Train mode is deliberately *not* covered: batch-norm batch statistics
 //! and dropout masks make training genuinely batch-shaped.
@@ -60,6 +63,28 @@ fn cnn() -> Network {
     )
 }
 
+/// A CNN whose convolutions straddle the matmul kernel's direct/packed
+/// threshold (2¹⁸ multiply-adds per sample): the first conv is above it
+/// per sample (283 824), so every sample takes the packed kernel; the
+/// second is just below it (260 172), so samples are grouped seven at a
+/// time into one product that is itself far above the threshold — the
+/// kernel must still be chosen per sample.
+fn threshold_cnn() -> Network {
+    let mut rng = StdRng::seed_from_u64(45);
+    Network::new(
+        "threshold-cnn",
+        Sequential::new()
+            .with(Box::new(Conv2d::new(3, 73, 3, 1, 1, &mut rng)))
+            .with(Box::new(ActivationLayer::relu("c1", &[73, 12, 12])))
+            .with(Box::new(MaxPool2d::new(2, 2)))
+            .with(Box::new(Conv2d::new(73, 11, 3, 1, 1, &mut rng)))
+            .with(Box::new(ActivationLayer::relu("c2", &[11, 6, 6])))
+            .with(Box::new(GlobalAvgPool::new()))
+            .with(Box::new(Flatten::new()))
+            .with(Box::new(Linear::new(11, 5, &mut rng))),
+    )
+}
+
 /// Forwards `inputs` in batches of `batch` and stacks the output rows.
 fn forward_in_batches(net: &mut Network, inputs: &Tensor, batch: usize) -> Tensor {
     let n = inputs.dims()[0];
@@ -78,12 +103,17 @@ fn forward_in_batches(net: &mut Network, inputs: &Tensor, batch: usize) -> Tenso
     Tensor::stack(&rows).unwrap()
 }
 
-fn assert_batch_invariant(mut net: Network, inputs: Tensor) {
-    let n = inputs.dims()[0];
-    let full = net.forward(&inputs, Mode::Eval).unwrap();
+fn assert_batch_invariant(net: Network, inputs: Tensor) {
     // Every split must reproduce the full-batch rows bit-for-bit — single
     // samples, a prime-size split with a ragged tail, and near-halves.
-    for batch in [1usize, 3, n / 2, n] {
+    let n = inputs.dims()[0];
+    assert_batch_splits_invariant(net, inputs, &[1, 3, n / 2, n]);
+}
+
+fn assert_batch_splits_invariant(mut net: Network, inputs: Tensor, batches: &[usize]) {
+    let n = inputs.dims()[0];
+    let full = net.forward(&inputs, Mode::Eval).unwrap();
+    for &batch in batches {
         let split = forward_in_batches(&mut net, &inputs, batch);
         assert_eq!(
             split,
@@ -106,6 +136,16 @@ fn cnn_forward_is_batch_invariant() {
     let mut rng = StdRng::seed_from_u64(43);
     let inputs = init::uniform(&[9, 3, 12, 12], -1.0, 1.0, &mut rng);
     assert_batch_invariant(cnn(), inputs);
+}
+
+/// Grouped convolution is batch-invariant across the kernel threshold:
+/// splits of 1, 3, 7 (one full group of the second conv) and all 16
+/// samples (groups of 7, 7 and a ragged 2) give the same bits.
+#[test]
+fn grouped_conv_forward_is_batch_invariant_across_the_kernel_threshold() {
+    let mut rng = StdRng::seed_from_u64(46);
+    let inputs = init::uniform(&[16, 3, 12, 12], -1.0, 1.0, &mut rng);
+    assert_batch_splits_invariant(threshold_cnn(), inputs, &[1, 3, 7, 16]);
 }
 
 /// The same invariance, with violation tracing active: the trace is

@@ -1,16 +1,17 @@
-//! Pins the zero-allocation contract of the workspace-based `Conv2d`.
+//! Pins the zero-allocation contract of `Conv2d`, in f32 and with
+//! f16-quantized weights.
 //!
 //! A counting global allocator records every heap allocation; after a warm-up
-//! batch has sized the layer's [`fitact_tensor::Workspace`] and the output
-//! tensor, further `forward_into` calls must allocate nothing at all, and
-//! `forward` exactly one output tensor per call.
+//! batch has sized the layer's [`fitact_tensor::Workspace`], the per-thread
+//! forward scratch and the output tensor, further `forward_into` calls must
+//! allocate nothing at all, and `forward` exactly one output tensor per call.
 //!
 //! This file holds a single test on purpose: the allocation counter is global
 //! and the default test harness runs tests concurrently.
 
 use fitact_nn::layers::Conv2d;
 use fitact_nn::{Layer, Mode};
-use fitact_tensor::{init, Tensor};
+use fitact_tensor::{init, F16Param, NativeParam, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -100,4 +101,32 @@ fn conv2d_forward_is_allocation_free_after_the_first_batch() {
         best <= 4,
         "Layer::forward should allocate only the output tensor, counted {best}"
     );
+
+    // f16-quantized weights take the reduced-precision kernels, whose
+    // transposed column and output staging must come from the same warm
+    // scratch.
+    let mut quantized = Conv2d::new(4, 8, 3, 1, 1, &mut rng);
+    let weight = &mut quantized.params_mut()[0];
+    let (values, dims) = (weight.data().as_slice().to_vec(), weight.dims());
+    weight.set_native(NativeParam::F16(F16Param::from_f32(&values, &dims)));
+    let mut out = Tensor::default();
+    quantized.forward_into(&x, Mode::Eval, &mut out).unwrap();
+    let reference = out.clone();
+    let mut best = usize::MAX;
+    for _ in 0..10 {
+        let (count, ()) = allocations(|| {
+            for _ in 0..5 {
+                quantized.forward_into(&x, Mode::Eval, &mut out).unwrap();
+            }
+        });
+        best = best.min(count);
+        if best == 0 {
+            break;
+        }
+    }
+    assert_eq!(
+        best, 0,
+        "an f16 Conv2d::forward_into must not allocate once warm"
+    );
+    assert_eq!(out, reference);
 }

@@ -793,6 +793,10 @@ impl EventLoop {
                         self.shared.metrics.on_io_setup_failure();
                         continue;
                     }
+                    // Each response is one complete write. Without this,
+                    // Nagle holds a response written while the previous one
+                    // is unacknowledged until the client's delayed ACK.
+                    let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     if self
                         .poller

@@ -18,7 +18,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tiny_artifact() -> ModelArtifact {
     let mut rng = StdRng::seed_from_u64(177);
@@ -349,6 +349,48 @@ fn torn_frame_server() -> SocketAddr {
         std::mem::forget(server); // lives until process exit
         addr
     })
+}
+
+/// Pipelined requests answered in separate batches are written back as
+/// separate responses, each while the previous one may still be
+/// unacknowledged. With Nagle's algorithm on, every follow-up response
+/// waits for the client's delayed ACK (about 40 ms on Linux), so each round
+/// of pipelined requests would take at least that long; with `TCP_NODELAY`
+/// a round of microsecond forwards completes in a few milliseconds.
+#[test]
+fn pipelined_responses_in_separate_batches_are_not_delayed() {
+    let (server, addr) = start(
+        "nodelay.fitact",
+        ServeConfig {
+            max_batch: 1,
+            max_wait: Duration::from_millis(1),
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let (mut stream, mut reader) = connect(addr);
+    let one = keepalive_request("POST", "/predict", r#"{"input": [1, 2, 3, 4]}"#);
+    let segment = one.repeat(3);
+    let mut rounds = Vec::new();
+    for _ in 0..12 {
+        let started = Instant::now();
+        stream.write_all(segment.as_bytes()).unwrap();
+        for _ in 0..3 {
+            let (status, _, body) = read_response(&mut reader);
+            assert_eq!(status, 200, "{body}");
+        }
+        rounds.push(started.elapsed());
+    }
+    rounds.sort();
+    // The median round: robust to a stray scheduling hiccup on a loaded
+    // machine, but a Nagle stall would hold nearly every round.
+    let median = rounds[rounds.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median round of 3 pipelined predicts took {median:?} (all rounds: {rounds:?})"
+    );
+    server.shutdown();
+    server.join();
 }
 
 proptest! {

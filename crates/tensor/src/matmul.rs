@@ -19,6 +19,17 @@
 //! transposed copy (and no variant special-cases zero elements — `0 · NaN`
 //! must stay `NaN`, which the old scalar kernel got wrong).
 //!
+//! Products up to `DIRECT_THRESHOLD` multiply-adds skip packing and run an
+//! unpacked **direct kernel**. Its numeric contract: every output element is
+//! one FMA chain over `p = 0..k`, in order, starting from `0.0` (or from the
+//! existing output value when accumulating). The `Nn` arm register-blocks
+//! output tiles of up to `2·MR × NR`, but blocking only changes which
+//! elements are in flight together, never the chain of any one element — so
+//! an element's
+//! bits are independent of `n` and of its column's position. That is what
+//! lets [`matmul_nn_grouped`] lay several convolution samples side by side
+//! in one product and still match per-sample products bit for bit.
+//!
 //! Large products are additionally split row-wise across scoped threads; each
 //! thread runs the full blocked loop nest over its row range with its own
 //! pack buffers, so no synchronisation is needed beyond the final join.
@@ -58,6 +69,11 @@ const PARALLEL_THRESHOLD: usize = 1 << 18;
 /// the operands sit in L1/L2 anyway and packing is pure overhead).
 const DIRECT_THRESHOLD: usize = 1 << 18;
 
+/// Target width of a [`matmul_nn_grouped`] product: sixteen `NR`-column
+/// tiles, wide enough that each `k × NR` strip of `B` is reused across every
+/// row tile of `A`, small enough that the strip set stays cache-resident.
+const GROUP_COLUMNS: usize = 16 * NR;
+
 /// Operand layout of a product `C[m,n] = op(A) · op(B)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
@@ -70,7 +86,8 @@ pub enum Layout {
 }
 
 thread_local! {
-    /// Per-thread pack buffers: `(packed A block, packed B panel)`.
+    /// Per-thread pack buffers: `(packed A block, packed B panel)`, which
+    /// the direct kernel borrows for its zero-padded `(out, B)` edge strips.
     ///
     /// Reused across calls so steady-state multiplications allocate nothing.
     static PACK_BUFFERS: RefCell<(Vec<f32>, Vec<f32>)> =
@@ -180,9 +197,60 @@ pub fn matmul_into(
     });
 }
 
-/// Unpacked kernel for small products: an axpy-style row loop (`Nn`) or
-/// depth loop (`Tn`) whose inner updates autovectorise, with no zero-skip
-/// branch and no packing traffic.
+/// How many `n`-column products sharing one `[m, k]` left operand
+/// [`matmul_nn_grouped`] should lay side by side: enough to fill about
+/// `GROUP_COLUMNS` columns, or 1 when a single product is already large
+/// enough for the packed kernel.
+pub fn nn_group_len(m: usize, k: usize, n: usize) -> usize {
+    if m * k * n > DIRECT_THRESHOLD {
+        1
+    } else {
+        (GROUP_COLUMNS / n.max(1)).max(1)
+    }
+}
+
+/// Computes `groups` products sharing the left operand in one call:
+/// `out[m, groups·n] = a[m, k] · b[k, groups·n]`, where column block `g` of
+/// `b` (columns `g·n .. (g+1)·n`) is one product's right operand and the
+/// same block of `out` its result.
+///
+/// Contract: every output block is **bit-identical** to
+/// `matmul_into(Layout::Nn, a, b_g, out_g, m, k, n, false)` on that block
+/// alone. The kernel is chosen from the per-product size `m·k·n`, never from
+/// the grouped width, and both kernels compute each element independently
+/// of the column count, so grouping changes scheduling, not numerics.
+/// Convolution uses this to multiply [`nn_group_len`] samples at once.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with the dimensions.
+pub fn matmul_nn_grouped(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    groups: usize,
+) {
+    let width = groups * n;
+    assert_eq!(a.len(), m * k, "lhs length");
+    assert_eq!(b.len(), k * width, "rhs length");
+    assert_eq!(out.len(), m * width, "out length");
+    if m * k * n <= DIRECT_THRESHOLD {
+        direct_kernel(Layout::Nn, a, b, out, m, k, width, false);
+    } else {
+        // Every per-product call would pack too; the packed kernel's
+        // per-element sums depend only on `k`.
+        matmul_into(Layout::Nn, a, b, out, m, k, width, false);
+    }
+}
+
+/// Unpacked kernel for small products: a register-blocked tile loop (`Nn`)
+/// or an axpy-style depth loop (`Tn`) whose inner updates autovectorise,
+/// with no zero-skip branch and no packing traffic. Either way each output
+/// element is one in-order FMA chain over the shared dimension (see the
+/// module docs).
 #[allow(clippy::too_many_arguments)]
 fn direct_kernel(
     layout: Layout,
@@ -199,15 +267,24 @@ fn direct_kernel(
     }
     match layout {
         Layout::Nn => {
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for (p, &av) in a_row.iter().enumerate() {
-                    let b_row = &b[p * n..(p + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o = av.mul_add(bv, *o);
+            let tiled_n = n - n % NR;
+            for j0 in (0..tiled_n).step_by(NR) {
+                nn_strip(a, &b[j0..], n, &mut out[j0..], n, m, k);
+            }
+            if tiled_n < n {
+                // The ragged right edge (fewer than NR columns): copy its
+                // strips of B and `out`, zero-padded to NR columns, run them
+                // through the same tiles and copy the real columns back.
+                let cols = n - tiled_n;
+                PACK_BUFFERS.with(|cell| {
+                    let (out_strip, b_strip) = &mut *cell.borrow_mut();
+                    pad_strip(b, k, n, tiled_n, b_strip);
+                    pad_strip(out, m, n, tiled_n, out_strip);
+                    nn_strip(a, b_strip, NR, out_strip, NR, m, k);
+                    for (dst, src) in out.chunks_exact_mut(n).zip(out_strip.chunks_exact(NR)) {
+                        dst[tiled_n..].copy_from_slice(&src[..cols]);
                     }
-                }
+                });
             }
         }
         Layout::Tn => {
@@ -225,6 +302,72 @@ fn direct_kernel(
             }
         }
         Layout::Nt => unreachable!("Nt always takes the packed path"),
+    }
+}
+
+/// Copies columns `j0..` (fewer than `NR`) of the row-major `[rows, n]`
+/// matrix `src` into `strip` as a `[rows, NR]` matrix, zero-padded.
+fn pad_strip(src: &[f32], rows: usize, n: usize, j0: usize, strip: &mut Vec<f32>) {
+    strip.resize(rows * NR, 0.0);
+    for (dst, row) in strip.chunks_exact_mut(NR).zip(src.chunks_exact(n)) {
+        let (head, tail) = dst.split_at_mut(n - j0);
+        head.copy_from_slice(&row[j0..]);
+        tail.fill(0.0);
+    }
+}
+
+/// Multiplies `a[m, k]` by one `NR`-column strip of B (`b` starts at the
+/// strip's first column, rows `ldb` apart) into the matching strip of `out`
+/// (rows `ldo` apart), in register tiles of `2·MR` rows, then `MR`, then 1.
+///
+/// A `2·MR × NR` tile is sixteen 256-bit accumulators: enough independent
+/// FMA chains to cover the FMA latency on both pipes, and within the 32
+/// vector registers of AVX-512.
+#[inline(always)]
+fn nn_strip(a: &[f32], b: &[f32], ldb: usize, out: &mut [f32], ldo: usize, m: usize, k: usize) {
+    let mut i0 = 0;
+    while i0 + 2 * MR <= m {
+        nn_tile::<{ 2 * MR }>(&a[i0 * k..], b, ldb, &mut out[i0 * ldo..], ldo, k);
+        i0 += 2 * MR;
+    }
+    if i0 + MR <= m {
+        nn_tile::<MR>(&a[i0 * k..], b, ldb, &mut out[i0 * ldo..], ldo, k);
+        i0 += MR;
+    }
+    for i in i0..m {
+        nn_tile::<1>(&a[i * k..], b, ldb, &mut out[i * ldo..], ldo, k);
+    }
+}
+
+/// One `R × NR` tile of the direct `Nn` kernel: the accumulators start from
+/// `out`, stay in registers while `p` walks `0..k`, and are written back
+/// once.
+#[inline(always)]
+fn nn_tile<const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    ldo: usize,
+    k: usize,
+) {
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let mut acc: [[f32; NR]; R] = std::array::from_fn(|r| {
+        out[r * ldo..r * ldo + NR]
+            .try_into()
+            .expect("NR-wide strip")
+    });
+    for p in 0..k {
+        let b_vec: &[f32; NR] = b[p * ldb..p * ldb + NR].try_into().expect("NR-wide strip");
+        for (row, a_row) in acc.iter_mut().zip(&a_rows) {
+            let av = a_row[p];
+            for (o, &bv) in row.iter_mut().zip(b_vec) {
+                *o = av.mul_add(bv, *o);
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        out[r * ldo..r * ldo + NR].copy_from_slice(row);
     }
 }
 
@@ -590,6 +733,112 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The direct `Nn` kernel's register tiles (8-, 4- and 1-row tiles,
+    /// full and zero-padded ragged column strips) run exactly the chains of
+    /// a plain axpy row loop: one in-order FMA chain per element from its
+    /// initial value.
+    #[test]
+    fn direct_nn_tiles_match_axpy_chains_bit_for_bit() {
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (3, 7, 5),
+            (8, 9, 16),
+            (13, 31, 37),
+            (9, 300, 20),
+            (17, 5, 3),
+            (16, 64, 64),
+        ] {
+            let a = fill(m * k, 21);
+            let b = fill(k * n, 22);
+            for accumulate in [false, true] {
+                let mut expected = if accumulate {
+                    fill(m * n, 23)
+                } else {
+                    vec![0.0; m * n]
+                };
+                let mut got = fill(m * n, 23);
+                for i in 0..m {
+                    for p in 0..k {
+                        for j in 0..n {
+                            expected[i * n + j] =
+                                a[i * k + p].mul_add(b[p * n + j], expected[i * n + j]);
+                        }
+                    }
+                }
+                direct_kernel(Layout::Nn, &a, &b, &mut got, m, k, n, accumulate);
+                assert_eq!(
+                    bits(&got),
+                    bits(&expected),
+                    "{m}x{k}x{n} accumulate={accumulate}"
+                );
+            }
+        }
+    }
+
+    /// `matmul_nn_grouped` equals per-sample `matmul_into(Layout::Nn, …)`
+    /// bit for bit, for per-sample products just under, at and just over
+    /// `DIRECT_THRESHOLD`, with row counts off the tile height, group widths
+    /// off the tile width and a ragged last group — both at the width
+    /// `nn_group_len` picks and with every sample in one call.
+    #[test]
+    fn grouped_products_match_per_sample_products_bit_for_bit() {
+        // (m, k, n, samples, per-sample product vs DIRECT_THRESHOLD)
+        for &(m, k, n, samples, side) in &[
+            (13, 100, 20, 30, std::cmp::Ordering::Less),
+            (27, 269, 36, 17, std::cmp::Ordering::Less),
+            (2, 16384, 8, 35, std::cmp::Ordering::Equal),
+            (27, 270, 36, 5, std::cmp::Ordering::Greater),
+        ] {
+            assert_eq!((m * k * n).cmp(&DIRECT_THRESHOLD), side, "{m}x{k}x{n}");
+            let a = fill(m * k, 31);
+            let inputs: Vec<Vec<f32>> = (0..samples).map(|s| fill(k * n, 40 + s as u32)).collect();
+            let per_sample: Vec<Vec<f32>> = inputs
+                .iter()
+                .map(|b| {
+                    let mut out = vec![0.0f32; m * n];
+                    matmul_into(Layout::Nn, &a, b, &mut out, m, k, n, false);
+                    out
+                })
+                .collect();
+            for group in [nn_group_len(m, k, n), samples] {
+                for first in (0..samples).step_by(group) {
+                    let g = group.min(samples - first);
+                    let width = g * n;
+                    let mut b = vec![0.0f32; k * width];
+                    for (s, input) in inputs[first..first + g].iter().enumerate() {
+                        for p in 0..k {
+                            b[p * width + s * n..p * width + (s + 1) * n]
+                                .copy_from_slice(&input[p * n..(p + 1) * n]);
+                        }
+                    }
+                    let mut out = vec![f32::NAN; m * width];
+                    matmul_nn_grouped(&a, &b, &mut out, m, k, n, g);
+                    for (s, expected) in per_sample[first..first + g].iter().enumerate() {
+                        for i in 0..m {
+                            assert_eq!(
+                                bits(&out[i * width + s * n..i * width + (s + 1) * n]),
+                                bits(&expected[i * n..(i + 1) * n]),
+                                "{m}x{k}x{n}, group {g} from sample {first}: sample {s} row {i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn group_len_fills_the_group_width_below_the_threshold_only() {
+        assert_eq!(nn_group_len(32, 288, 4), GROUP_COLUMNS / 4);
+        assert_eq!(nn_group_len(32, 288, 16), GROUP_COLUMNS / 16);
+        assert_eq!(nn_group_len(4, 27, 1024), 1);
+        assert_eq!(nn_group_len(27, 270, 36), 1);
     }
 
     #[test]

@@ -753,21 +753,28 @@ pub fn im2col(
         stride,
         padding,
         &mut out,
+        (0, 1),
     )?;
     Tensor::from_vec(out, &[c * kh * kw, out_h * out_w])
 }
 
 /// Allocation-free core of [`im2col`]: lowers an image given as a raw
-/// `[channels, height, width]` slice into a caller-provided
-/// `[channels · kh · kw, out_h · out_w]` buffer.
+/// `[channels, height, width]` slice into a caller-provided column buffer.
 ///
-/// Every element of `out` is overwritten, so the buffer does not need to be
-/// zeroed beforehand (padding positions are written as `0.0`).
+/// `group = (index, len)` places the image among `len` images whose columns
+/// sit side by side: `out` is `[channels · kh · kw, len · out_h · out_w]` and
+/// this image fills columns `index · out_h · out_w ..` of every row, so one
+/// product can cover the whole group. `(0, 1)` writes a single image's
+/// `[channels · kh · kw, out_h · out_w]` matrix.
+///
+/// Every element of this image's columns is overwritten, so the buffer does
+/// not need to be zeroed beforehand (padding positions are written as `0.0`).
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::InvalidShape`] if `image` does not match
-/// `image_dims`, the kernel does not fit, or `out` has the wrong length.
+/// Returns [`TensorError::InvalidShape`] if the kernel does not fit or
+/// `index >= len`, and [`TensorError::LengthMismatch`] if `image` does not
+/// match `image_dims` or `out` has the wrong length.
 pub fn im2col_into(
     image: &[f32],
     image_dims: (usize, usize, usize),
@@ -775,30 +782,37 @@ pub fn im2col_into(
     stride: usize,
     padding: usize,
     out: &mut [f32],
+    group: (usize, usize),
 ) -> Result<(), TensorError> {
     let (c, h, w) = image_dims;
     let (kh, kw) = kernel;
+    let (index, len) = group;
     let (out_h, out_w) = conv_output_size((h, w), kernel, stride, padding)?;
+    if index >= len {
+        return Err(TensorError::InvalidShape(vec![index, len]));
+    }
     if image.len() != c * h * w {
         return Err(TensorError::LengthMismatch {
             expected: c * h * w,
             actual: image.len(),
         });
     }
-    if out.len() != c * kh * kw * out_h * out_w {
+    let cols = out_h * out_w;
+    if out.len() != c * kh * kw * len * cols {
         return Err(TensorError::LengthMismatch {
-            expected: c * kh * kw * out_h * out_w,
+            expected: c * kh * kw * len * cols,
             actual: out.len(),
         });
     }
-    let cols = out_h * out_w;
+    let row_len = len * cols;
     for ch in 0..c {
         for ky in 0..kh {
             for kx in 0..kw {
                 let row = (ch * kh + ky) * kw + kx;
+                let base = row * row_len + index * cols;
                 for oy in 0..out_h {
                     let iy = (oy * stride + ky) as isize - padding as isize;
-                    let out_row = &mut out[row * cols + oy * out_w..row * cols + (oy + 1) * out_w];
+                    let out_row = &mut out[base + oy * out_w..base + (oy + 1) * out_w];
                     if iy < 0 || iy >= h as isize {
                         out_row.fill(0.0);
                         continue;
@@ -1233,8 +1247,43 @@ mod tests {
     #[test]
     fn into_variants_validate_lengths() {
         let mut small = vec![0.0f32; 3];
-        assert!(im2col_into(&[1.0; 4], (1, 2, 2), (1, 1), 1, 0, &mut small).is_err());
+        assert!(im2col_into(&[1.0; 4], (1, 2, 2), (1, 1), 1, 0, &mut small, (0, 1)).is_err());
         assert!(col2im_into(&[1.0; 4], (1, 2, 2), (1, 1), 1, 0, &mut small).is_err());
+    }
+
+    #[test]
+    fn im2col_group_places_each_image_in_its_column_block() {
+        // Three 2-channel 4x4 images, 3x3 kernel, stride 2, padding 1: each
+        // image's 4 output positions land in its own block of every row.
+        let images: Vec<Tensor> = (0..3)
+            .map(|i| {
+                let data = (0..32).map(|v| (v * 7 + i * 5) as f32).collect();
+                Tensor::from_vec(data, &[2, 4, 4]).unwrap()
+            })
+            .collect();
+        let mut grouped = vec![f32::NAN; 18 * 3 * 4];
+        for (index, image) in images.iter().enumerate() {
+            im2col_into(
+                image.as_slice(),
+                (2, 4, 4),
+                (3, 3),
+                2,
+                1,
+                &mut grouped,
+                (index, 3),
+            )
+            .unwrap();
+        }
+        for (index, image) in images.iter().enumerate() {
+            let single = im2col(image, (3, 3), 2, 1).unwrap();
+            for (row, expected) in single.as_slice().chunks_exact(4).enumerate() {
+                let block = &grouped[row * 12 + index * 4..row * 12 + index * 4 + 4];
+                assert_eq!(block, expected, "image {index} row {row}");
+            }
+        }
+        let image = images[0].as_slice();
+        assert!(im2col_into(image, (2, 4, 4), (3, 3), 2, 1, &mut grouped, (3, 3)).is_err());
+        assert!(im2col_into(image, (2, 4, 4), (3, 3), 2, 1, &mut grouped, (0, 2)).is_err());
     }
 
     #[test]
