@@ -619,11 +619,14 @@ fn campaign_single(args: &Args) -> Result<JsonValue, CliError> {
             // `assess_resilience` quantizes before running; match it so the
             // resumable path stays bit-identical to the plain one.
             quantize_network(&mut network);
+            let fault_free = network
+                .evaluate(&inputs, &targets, config.batch_size)
+                .map_err(|e| format!("baseline evaluation failed: {e}"))?;
             let resume = if path.exists() {
                 let checkpoint = CampaignCheckpoint::load(&path)
                     .map_err(|e| format!("cannot resume from `{}`: {e}", path.display()))?;
                 checkpoint
-                    .validate_against(&config, TransientBitFlip.name(), fingerprint)
+                    .validate_against(&config, TransientBitFlip.name(), fingerprint, fault_free)
                     .map_err(|e| {
                         format!("checkpoint `{}` is not resumable here: {e}", path.display())
                     })?;
@@ -631,9 +634,6 @@ fn campaign_single(args: &Args) -> Result<JsonValue, CliError> {
             } else {
                 None
             };
-            let fault_free = network
-                .evaluate(&inputs, &targets, config.batch_size)
-                .map_err(|e| format!("baseline evaluation failed: {e}"))?;
             let network_name = network.name().to_owned();
             let snapshot = |pools: Vec<fitact_faults::StratumPool>| {
                 CampaignCheckpoint::new(

@@ -72,8 +72,7 @@ pub use framework::{
 pub use memory::MemoryModel;
 pub use protect::{apply_protection, ProtectionScheme};
 pub use resilience::{
-    evaluate_resilience, evaluate_resilience_until, evaluate_resilience_until_with_engine,
-    evaluate_resilience_with_engine, ResiliencePoint, ResilienceReportPoint,
+    evaluate_resilience, evaluate_resilience_until, ResiliencePoint, ResilienceReportPoint,
 };
 pub use serialize::ProtectedActivations;
 

@@ -12,7 +12,6 @@
 use crate::FitActError;
 use fitact_faults::{
     Campaign, CampaignConfig, CampaignReport, CampaignResult, FaultModel, StatCampaignConfig,
-    TrialEngine,
 };
 use fitact_nn::Network;
 use fitact_tensor::Tensor;
@@ -43,9 +42,9 @@ impl ResiliencePoint {
 ///
 /// Campaigns run on the default checkpoint-resumed trial engine (clean layer
 /// activations are cached once per rate point and each trial re-executes only
-/// the faulted suffix of the network); use
-/// [`evaluate_resilience_with_engine`] to force the full-forward engine —
-/// the two produce bit-identical curves.
+/// the faulted suffix of the network); to force the full-forward engine —
+/// the two produce bit-identical curves — drive a [`Campaign`] directly with
+/// [`Campaign::with_engine`].
 ///
 /// # Errors
 ///
@@ -60,39 +59,9 @@ pub fn evaluate_resilience(
     batch_size: usize,
     seed: u64,
 ) -> Result<Vec<ResiliencePoint>, FitActError> {
-    evaluate_resilience_with_engine(
-        network,
-        inputs,
-        targets,
-        rates,
-        trials,
-        batch_size,
-        seed,
-        TrialEngine::default(),
-    )
-}
-
-/// [`evaluate_resilience`] with an explicit [`TrialEngine`] (the engines are
-/// bit-identical; the full-forward engine exists for verification and
-/// benchmarking).
-///
-/// # Errors
-///
-/// See [`evaluate_resilience`].
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_resilience_with_engine(
-    network: &mut Network,
-    inputs: &Tensor,
-    targets: &[usize],
-    rates: &[f64],
-    trials: usize,
-    batch_size: usize,
-    seed: u64,
-    engine: TrialEngine,
-) -> Result<Vec<ResiliencePoint>, FitActError> {
     let mut points = Vec::with_capacity(rates.len());
     for (i, &rate) in rates.iter().enumerate() {
-        let mut campaign = Campaign::new(network, inputs, targets)?.with_engine(engine);
+        let mut campaign = Campaign::new(network, inputs, targets)?;
         let result = campaign.run(&CampaignConfig {
             fault_rate: rate,
             trials,
@@ -134,8 +103,7 @@ impl ResilienceReportPoint {
 /// Campaign `i` uses seed `base.seed + i`, so curves are reproducible and
 /// each point draws independent fault streams. The network is left unchanged,
 /// exactly as with [`evaluate_resilience`], and trials run on the default
-/// checkpoint-resumed engine ([`evaluate_resilience_until_with_engine`]
-/// selects explicitly).
+/// checkpoint-resumed engine ([`Campaign::with_engine`] selects another).
 ///
 /// # Errors
 ///
@@ -149,31 +117,6 @@ pub fn evaluate_resilience_until(
     base: &StatCampaignConfig,
     model: &dyn FaultModel,
 ) -> Result<Vec<ResilienceReportPoint>, FitActError> {
-    evaluate_resilience_until_with_engine(
-        network,
-        inputs,
-        targets,
-        rates,
-        base,
-        model,
-        TrialEngine::default(),
-    )
-}
-
-/// [`evaluate_resilience_until`] with an explicit [`TrialEngine`].
-///
-/// # Errors
-///
-/// See [`evaluate_resilience_until`].
-pub fn evaluate_resilience_until_with_engine(
-    network: &mut Network,
-    inputs: &Tensor,
-    targets: &[usize],
-    rates: &[f64],
-    base: &StatCampaignConfig,
-    model: &dyn FaultModel,
-    engine: TrialEngine,
-) -> Result<Vec<ResilienceReportPoint>, FitActError> {
     let mut points = Vec::with_capacity(rates.len());
     for (i, &rate) in rates.iter().enumerate() {
         let config = StatCampaignConfig {
@@ -181,9 +124,7 @@ pub fn evaluate_resilience_until_with_engine(
             seed: base.seed.wrapping_add(i as u64),
             ..base.clone()
         };
-        let report = Campaign::new(network, inputs, targets)?
-            .with_engine(engine)
-            .run_until(&config, model)?;
+        let report = Campaign::new(network, inputs, targets)?.run_until(&config, model)?;
         points.push(ResilienceReportPoint {
             fault_rate: rate,
             report,

@@ -604,14 +604,15 @@ impl ModelArtifact {
         })
     }
 
-    /// Writes the artifact to a file.
+    /// Writes the artifact to a file by atomic rename, so a server still
+    /// mapping the file it replaces keeps reading the old, intact inode
+    /// (the deployment contract in `docs/artifact-format.md`).
     ///
     /// # Errors
     ///
     /// Returns [`IoError::Io`] on filesystem failure.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), IoError> {
-        std::fs::write(path, self.to_bytes())?;
-        Ok(())
+        crate::write_atomically(path.as_ref(), &self.to_bytes())
     }
 
     /// Reads an artifact from a file.

@@ -230,15 +230,7 @@ impl CampaignCheckpoint {
     ///
     /// Returns [`IoError::Io`] for filesystem failures.
     pub fn save(&self, path: &Path) -> Result<(), IoError> {
-        let name = path
-            .file_name()
-            .ok_or_else(|| IoError::Io(std::io::Error::other("checkpoint path has no file name")))?
-            .to_string_lossy()
-            .into_owned();
-        let tmp = path.with_file_name(format!(".{name}.{}.tmp", std::process::id()));
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        crate::write_atomically(path, &self.to_bytes())
     }
 
     /// Loads and decodes a checkpoint file.
@@ -253,8 +245,10 @@ impl CampaignCheckpoint {
     }
 
     /// Verifies the checkpoint belongs to the campaign about to resume:
-    /// same configuration, same fault model, same artifact bytes and a
-    /// stream-derivation tag this build reproduces.
+    /// same configuration, same fault model, same artifact bytes, a
+    /// stream-derivation tag this build reproduces, and a recorded
+    /// fault-free baseline bit-equal to `fault_free_accuracy`, the one the
+    /// resuming run recomputed over its evaluation split.
     ///
     /// # Errors
     ///
@@ -264,6 +258,7 @@ impl CampaignCheckpoint {
         config: &StatCampaignConfig,
         model: &str,
         artifact_fingerprint: u64,
+        fault_free_accuracy: f32,
     ) -> Result<(), IoError> {
         if self.provenance != TRIAL_STREAM_PROVENANCE {
             return Err(IoError::Mismatch(format!(
@@ -286,6 +281,12 @@ impl CampaignCheckpoint {
             return Err(IoError::Mismatch(format!(
                 "checkpoint fingerprint {:#018x} does not match the artifact ({:#018x})",
                 self.artifact_fingerprint, artifact_fingerprint
+            )));
+        }
+        if self.fault_free_accuracy.to_bits() != fault_free_accuracy.to_bits() {
+            return Err(IoError::Mismatch(format!(
+                "checkpoint fault-free baseline {} differs bitwise from recomputed {}",
+                self.fault_free_accuracy, fault_free_accuracy
             )));
         }
         Ok(())
@@ -588,30 +589,37 @@ mod tests {
     #[test]
     fn validation_pins_config_model_and_fingerprint() {
         let ck = sample_checkpoint();
+        let baseline = ck.fault_free_accuracy;
         assert!(ck
-            .validate_against(&ck.config, "bitflip", ck.artifact_fingerprint)
+            .validate_against(&ck.config, "bitflip", ck.artifact_fingerprint, baseline)
             .is_ok());
         let other = StatCampaignConfig {
             seed: 999,
             ..ck.config.clone()
         };
         assert!(matches!(
-            ck.validate_against(&other, "bitflip", ck.artifact_fingerprint),
+            ck.validate_against(&other, "bitflip", ck.artifact_fingerprint, baseline),
             Err(IoError::Mismatch(_))
         ));
         assert!(matches!(
-            ck.validate_against(&ck.config, "burst", ck.artifact_fingerprint),
+            ck.validate_against(&ck.config, "burst", ck.artifact_fingerprint, baseline),
             Err(IoError::Mismatch(_))
         ));
         assert!(matches!(
-            ck.validate_against(&ck.config, "bitflip", 1),
+            ck.validate_against(&ck.config, "bitflip", 1, baseline),
             Err(IoError::Mismatch(_))
         ));
         let mut stale = ck.clone();
         stale.provenance = "splitmix64 v0".into();
         assert!(matches!(
-            stale.validate_against(&ck.config, "bitflip", ck.artifact_fingerprint),
+            stale.validate_against(&ck.config, "bitflip", ck.artifact_fingerprint, baseline),
             Err(IoError::Mismatch(_))
+        ));
+        // A baseline recomputed over a different evaluation split.
+        let other_split = f32::from_bits(baseline.to_bits() ^ 1);
+        assert!(matches!(
+            ck.validate_against(&ck.config, "bitflip", ck.artifact_fingerprint, other_split),
+            Err(IoError::Mismatch(msg)) if msg.contains("baseline")
         ));
     }
 

@@ -5,11 +5,11 @@
 //! format existed, every test and example re-paid the training cost; with
 //! it, the first caller trains and saves, every later caller loads.
 //!
-//! [`load_or_build`] is safe under concurrent test binaries: builders write
-//! to a process-unique temporary file and publish it with an atomic rename,
-//! so two racing processes at worst both train once — a reader can never
-//! observe a half-written artifact. Determinism makes the race harmless:
-//! both processes produce bit-identical artifacts.
+//! [`load_or_build`] is safe under concurrent test binaries: builders
+//! publish through [`ModelArtifact::save`], an atomic rename, so two racing
+//! processes at worst both train once — a reader can never observe a
+//! half-written artifact. Determinism makes the race harmless: both
+//! processes produce bit-identical artifacts.
 
 use crate::{IoError, ModelArtifact};
 use std::path::{Path, PathBuf};
@@ -75,11 +75,9 @@ where
     }
     let artifact = build()?;
     std::fs::create_dir_all(dir)?;
-    let tmp = dir.join(format!(".{name}.{}.tmp", std::process::id()));
-    artifact.save(&tmp)?;
-    // Atomic publish: concurrent builders race benignly — last rename wins
-    // and every rename installs a complete, bit-identical file.
-    std::fs::rename(&tmp, &path)?;
+    // Concurrent builders race benignly: the last rename wins, and every
+    // rename installs a complete, bit-identical file.
+    artifact.save(&path)?;
     Ok(artifact)
 }
 

@@ -82,6 +82,28 @@ pub use mapped::MappedArtifact;
 
 use std::error::Error;
 use std::fmt;
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Writes `bytes` to `path` through a hidden, uniquely named sibling file
+/// and a `rename(2)` over `path`. Readers, concurrent writers and live
+/// read-only mappings of the old file see the old contents or the new,
+/// never a truncated or torn file.
+fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), IoError> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let name = path
+        .file_name()
+        .ok_or_else(|| IoError::Io(std::io::Error::other("path has no file name")))?
+        .to_string_lossy();
+    let tmp = path.with_file_name(format!(
+        ".{name}.{}.{}.tmp",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)?;
+    Ok(())
+}
 
 /// Errors produced while encoding, decoding or instantiating artifacts.
 #[derive(Debug)]

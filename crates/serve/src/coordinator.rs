@@ -13,6 +13,12 @@
 //! | `/campaign/status` | GET | progress snapshot |
 //! | `/healthz` | GET | liveness |
 //!
+//! The routes are mounted on the crate's event-loop transport — the one
+//! `fitact serve` runs on — under fixed limits: at most 256 connections
+//! (then `503` + `Retry-After`), a two-thread handler pool, a 5 s I/O and
+//! idle deadline (`408` for a stalled request) and a
+//! [`MAX_CONTROL_BODY`] request-body bound (`413`).
+//!
 //! # Lease state machine
 //!
 //! A unit is `Pending` → `Leased { worker, deadline }` → `Done`. Grants
@@ -37,22 +43,35 @@
 //! mid-round re-derives the same units, re-leases only the missing ones and
 //! lands on a bit-identical [`CampaignReport`].
 
-use crate::http::{encode_binary_response, read_request, write_response, Request};
-use crate::protocol::{unit_id, unit_round, Grant, UnitResult, WorkUnit, MAX_CONTROL_BODY};
+use crate::http::Request;
+use crate::protocol::{
+    num, obj, unit_id, unit_round, Grant, UnitResult, WorkUnit, MAX_CONTROL_BODY,
+};
+use crate::transport::{Limits, Reply, Routes, Transport, DEFAULT_MAX_CONNECTIONS};
 use crate::ServeError;
 use fitact_data::DataSpec;
 use fitact_faults::{
     assemble_report, plan_round_allocated, stopping_decision, z_for_confidence, CampaignReport,
     FaultError, FaultModel, StatCampaignConfig, StratifiedSampler, StratumPool, UnitRunner,
 };
-use fitact_io::{fingerprint_bytes, CampaignCheckpoint, CampaignSpec, ModelArtifact};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use fitact_io::{fingerprint_bytes, CampaignCheckpoint, CampaignSpec, JsonValue, ModelArtifact};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The coordinator's connection limits. They are constants, not options:
+/// control traffic is tiny, so one 5 s deadline bounds both socket progress
+/// and idle connections, and two handlers suffice because every route is a
+/// copy or a short critical section on the ledger.
+const LIMITS: Limits = Limits {
+    max_connections: DEFAULT_MAX_CONNECTIONS,
+    max_body: MAX_CONTROL_BODY,
+    io_timeout: Duration::from_secs(5),
+    idle_timeout: Duration::from_secs(5),
+    handlers: 2,
+};
 
 /// Coordinator-side options (the campaign itself is a
 /// [`StatCampaignConfig`]).
@@ -131,7 +150,7 @@ struct Shared {
     checkpoint: Option<PathBuf>,
     lease: Duration,
     retry_ms: u64,
-    shutdown: AtomicBool,
+    unit_trials: usize,
 }
 
 impl std::fmt::Debug for Shared {
@@ -149,8 +168,7 @@ impl std::fmt::Debug for Shared {
 #[derive(Debug)]
 pub struct Coordinator {
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    accept_handle: Option<JoinHandle<()>>,
+    transport: Transport,
     executor_handle: Option<JoinHandle<()>>,
 }
 
@@ -196,11 +214,15 @@ fn plan_units(
 }
 
 impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Ledger> {
+        self.ledger.lock().expect("ledger poisoned")
+    }
+
     /// Advances the ledger through every round whose trials are already in
     /// the pools (resume replay and normal round completion share this
     /// path), stopping at the first round with missing units or at campaign
     /// completion.
-    fn advance(&self, ledger: &mut Ledger, unit_trials: usize) {
+    fn advance(&self, ledger: &mut Ledger) {
         loop {
             let mut units = plan_units(
                 &self.campaign,
@@ -210,7 +232,7 @@ impl Shared {
                 &ledger.pools,
                 &ledger.counts,
                 ledger.rounds,
-                unit_trials,
+                self.unit_trials,
             );
             if units.is_empty() {
                 ledger.finished = true;
@@ -314,33 +336,6 @@ impl Shared {
         }
     }
 
-    /// Verifies `points` against what the pools already hold (bitwise).
-    fn verify_points(&self, ledger: &Ledger, result: &UnitResult) -> Result<(), String> {
-        let pool = ledger
-            .pools
-            .get(result.unit.stratum)
-            .ok_or_else(|| format!("unit names stratum {}", result.unit.stratum))?;
-        for (offset, point) in result.points.iter().enumerate() {
-            let index = (result.unit.start + offset) as u64;
-            match pool.get(index) {
-                Some(existing) if existing.same_bits(point) => {}
-                Some(_) => {
-                    return Err(format!(
-                        "duplicate completion of unit {} disagrees at trial {index}",
-                        result.unit.id
-                    ))
-                }
-                None => {
-                    return Err(format!(
-                        "unit {} claims trial {index} which the pool does not hold",
-                        result.unit.id
-                    ))
-                }
-            }
-        }
-        Ok(())
-    }
-
     fn save_checkpoint(&self, ledger: &mut Ledger) {
         let Some(path) = &self.checkpoint else {
             return;
@@ -367,55 +362,38 @@ impl Shared {
         }
     }
 
-    /// Merges a reported unit. Returns `(status, body)` for the HTTP layer.
-    fn merge(&self, ledger: &mut Ledger, result: &UnitResult, unit_trials: usize) -> (u16, String) {
-        let stale_check =
-            |ledger: &mut Ledger, shared: &Shared| match shared.verify_points(ledger, result) {
-                Ok(()) => (200, "{\"status\":\"ok\",\"fresh\":false}".to_owned()),
-                Err(msg) => {
-                    ledger.fatal = Some(msg.clone());
-                    (409, format!("{{\"error\":{}}}", quote(&msg)))
-                }
-            };
+    /// Merges a reported unit: `Ok(fresh)`, where `fresh` says whether it
+    /// added trials (a duplicate of a merged unit adds none), or the
+    /// conflict that rejects it.
+    fn merge(&self, ledger: &mut Ledger, result: &UnitResult) -> Result<bool, String> {
         let round = unit_round(result.unit.id);
         if ledger.finished || round < ledger.rounds {
             // A duplicate of an already-merged unit (possibly from a prior
             // coordinator incarnation): idempotent by content.
-            let out = stale_check(ledger, self);
-            self.cv.notify_all();
-            return out;
+            return self.merge_duplicate(ledger, result);
         }
         if round > ledger.rounds {
-            return (
-                409,
-                format!(
-                    "{{\"error\":\"unit {} belongs to round {round}, coordinator is at round {}\"}}",
-                    result.unit.id, ledger.rounds
-                ),
-            );
+            return Err(format!(
+                "unit {} belongs to round {round}, coordinator is at round {}",
+                result.unit.id, ledger.rounds
+            ));
         }
         let Some(i) = ledger
             .units
             .iter()
             .position(|s| s.unit.id == result.unit.id)
         else {
-            return (
-                409,
-                format!("{{\"error\":\"unknown unit id {}\"}}", result.unit.id),
-            );
+            return Err(format!("unknown unit id {}", result.unit.id));
         };
         if ledger.units[i].unit != result.unit {
             let msg = format!(
                 "unit {} shape mismatch: coordinator planned {:?}, worker reported {:?}",
                 result.unit.id, ledger.units[i].unit, result.unit
             );
-            ledger.fatal = Some(msg.clone());
-            return (409, format!("{{\"error\":{}}}", quote(&msg)));
+            return self.abort(ledger, msg);
         }
         if ledger.units[i].state == UnitState::Done {
-            let out = stale_check(ledger, self);
-            self.cv.notify_all();
-            return out;
+            return self.merge_duplicate(ledger, result);
         }
         for (offset, point) in result.points.iter().enumerate() {
             let index = (result.unit.start + offset) as u64;
@@ -427,55 +405,113 @@ impl Shared {
                          contract is broken (worker ran a different model, seed or build?)",
                         result.unit.stratum
                     );
-                    ledger.fatal = Some(msg.clone());
-                    self.cv.notify_all();
-                    return (409, format!("{{\"error\":{}}}", quote(&msg)));
+                    return self.abort(ledger, msg);
                 }
-                Err(other) => {
-                    let msg = other.to_string();
-                    ledger.fatal = Some(msg.clone());
-                    self.cv.notify_all();
-                    return (409, format!("{{\"error\":{}}}", quote(&msg)));
-                }
+                Err(other) => return self.abort(ledger, other.to_string()),
             }
         }
         ledger.units[i].state = UnitState::Done;
         if ledger.units.iter().all(|s| s.state == UnitState::Done) {
-            self.advance(ledger, unit_trials);
+            self.advance(ledger);
         }
         self.save_checkpoint(ledger);
         self.cv.notify_all();
-        (200, "{\"status\":\"ok\",\"fresh\":true}".to_owned())
+        Ok(true)
     }
 
-    fn status_json(&self, ledger: &Ledger) -> String {
+    /// A duplicate completion merges nothing: it must agree bit for bit
+    /// with what the pools already hold, or the campaign aborts.
+    fn merge_duplicate(&self, ledger: &mut Ledger, result: &UnitResult) -> Result<bool, String> {
+        let Some(pool) = ledger.pools.get(result.unit.stratum) else {
+            let msg = format!("unit names stratum {}", result.unit.stratum);
+            return self.abort(ledger, msg);
+        };
+        for (offset, point) in result.points.iter().enumerate() {
+            let index = (result.unit.start + offset) as u64;
+            let msg = match pool.get(index) {
+                Some(existing) if existing.same_bits(point) => continue,
+                Some(_) => format!(
+                    "duplicate completion of unit {} disagrees at trial {index}",
+                    result.unit.id
+                ),
+                None => format!(
+                    "unit {} claims trial {index} which the pool does not hold",
+                    result.unit.id
+                ),
+            };
+            return self.abort(ledger, msg);
+        }
+        Ok(false)
+    }
+
+    /// Aborts the campaign over a broken determinism contract and wakes
+    /// every waiter so it notices.
+    fn abort(&self, ledger: &mut Ledger, msg: String) -> Result<bool, String> {
+        ledger.fatal = Some(msg.clone());
+        self.cv.notify_all();
+        Err(msg)
+    }
+
+    fn status_json(&self, ledger: &Ledger) -> JsonValue {
         let total: usize = ledger.pools.iter().map(StratumPool::len).sum();
-        let pending = ledger
-            .units
-            .iter()
-            .filter(|s| s.state == UnitState::Pending)
-            .count();
-        let leased = ledger
-            .units
-            .iter()
-            .filter(|s| matches!(s.state, UnitState::Leased { .. }))
-            .count();
-        let done = ledger
-            .units
-            .iter()
-            .filter(|s| s.state == UnitState::Done)
-            .count();
-        format!(
-            "{{\"round\":{},\"total_trials\":{total},\"pending_units\":{pending},\
-             \"leased_units\":{leased},\"done_units\":{done},\"finished\":{},\
-             \"converged\":{},\"stopping\":{}}}",
-            ledger.rounds, ledger.finished, ledger.converged, ledger.stopping
-        )
+        let units = |state: fn(&UnitState) -> bool| {
+            num(ledger.units.iter().filter(|s| state(&s.state)).count() as f64)
+        };
+        obj(vec![
+            ("round", num(ledger.rounds as f64)),
+            ("total_trials", num(total as f64)),
+            ("pending_units", units(|s| *s == UnitState::Pending)),
+            (
+                "leased_units",
+                units(|s| matches!(s, UnitState::Leased { .. })),
+            ),
+            ("done_units", units(|s| *s == UnitState::Done)),
+            ("finished", JsonValue::Bool(ledger.finished)),
+            ("converged", JsonValue::Bool(ledger.converged)),
+            ("stopping", JsonValue::Bool(ledger.stopping)),
+        ])
     }
 }
 
-fn quote(text: &str) -> String {
-    fitact_io::json::escape_json_string(text)
+impl Routes for Shared {
+    fn route(&self, request: &Request) -> Reply {
+        let path = request
+            .target
+            .split_once('?')
+            .map_or(request.target.as_str(), |(p, _)| p);
+        match (request.method.as_str(), path) {
+            ("GET", "/campaign/spec") => Reply::binary(200, self.spec_bytes.clone()),
+            ("GET", "/campaign/model") => Reply::binary(200, self.artifact_bytes.clone()),
+            ("GET", "/campaign/unit") => {
+                let worker = query_param(&request.target, "worker").unwrap_or("anonymous");
+                Reply::json(200, self.grant(&mut self.lock(), worker).to_json())
+            }
+            ("POST", "/campaign/result") => {
+                let result = std::str::from_utf8(&request.body)
+                    .map_err(|_| "non-UTF-8 result body".to_owned())
+                    .and_then(UnitResult::from_json);
+                let merged = match result {
+                    Ok(result) => self.merge(&mut self.lock(), &result),
+                    Err(msg) => return Reply::error(400, &msg),
+                };
+                match merged {
+                    Ok(fresh) => Reply::json(
+                        200,
+                        obj(vec![
+                            ("status", JsonValue::String("ok".into())),
+                            ("fresh", JsonValue::Bool(fresh)),
+                        ]),
+                    ),
+                    Err(msg) => Reply::error(409, &msg),
+                }
+            }
+            ("GET", "/campaign/status") => Reply::json(200, self.status_json(&self.lock())),
+            ("GET", "/healthz") => {
+                Reply::json(200, obj(vec![("status", JsonValue::String("ok".into()))]))
+            }
+            _ => Reply::error(404, "unknown route"),
+        }
+    }
 }
 
 impl Coordinator {
@@ -541,13 +577,7 @@ impl Coordinator {
         let pools = match &options.checkpoint {
             Some(path) if path.exists() => {
                 let checkpoint = CampaignCheckpoint::load(path)?;
-                checkpoint.validate_against(&campaign, model.name(), fingerprint)?;
-                if checkpoint.fault_free_accuracy.to_bits() != fault_free.to_bits() {
-                    return Err(ServeError::Campaign(format!(
-                        "checkpoint fault-free baseline {} differs bitwise from recomputed {}",
-                        checkpoint.fault_free_accuracy, fault_free
-                    )));
-                }
+                checkpoint.validate_against(&campaign, model.name(), fingerprint, fault_free)?;
                 checkpoint.pools
             }
             _ => vec![StratumPool::new(); num_strata],
@@ -592,28 +622,23 @@ impl Coordinator {
             checkpoint: options.checkpoint.clone(),
             lease: options.lease,
             retry_ms,
-            shutdown: AtomicBool::new(false),
+            unit_trials: options.unit_trials,
         });
 
         // Replay completed rounds out of the (possibly resumed) pools.
-        {
-            let mut ledger = shared.ledger.lock().expect("ledger poisoned");
-            shared.advance(&mut ledger, options.unit_trials);
-        }
+        shared.advance(&mut shared.lock());
 
-        let listener = TcpListener::bind(&options.listen)?;
-        let addr = listener.local_addr()?;
-        let accept_shared = Arc::clone(&shared);
-        let unit_trials = options.unit_trials;
-        let accept_handle = std::thread::spawn(move || {
-            accept_loop(listener, accept_shared, unit_trials);
-        });
+        let transport = Transport::start(
+            &options.listen,
+            LIMITS,
+            "fitact-coordinator",
+            shared.clone(),
+        )?;
 
         let executor_handle = if options.local_execute {
             let exec_shared = Arc::clone(&shared);
-            let exec_model = Arc::clone(&model);
             Some(std::thread::spawn(move || {
-                local_executor(exec_shared, runner, exec_model, unit_trials);
+                local_executor(&exec_shared, runner, model.as_ref());
             }))
         } else {
             None
@@ -621,15 +646,14 @@ impl Coordinator {
 
         Ok(Coordinator {
             shared,
-            addr,
-            accept_handle: Some(accept_handle),
+            transport,
             executor_handle,
         })
     }
 
     /// The bound listen address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.transport.addr()
     }
 
     /// Blocks until the campaign finishes, is stopped or fails.
@@ -644,7 +668,7 @@ impl Coordinator {
     /// [`ServeError::Campaign`] when a determinism conflict or checkpoint
     /// write failure aborted the campaign.
     pub fn run_to_completion(&self) -> Result<Option<CampaignReport>, ServeError> {
-        let mut ledger = self.shared.ledger.lock().expect("ledger poisoned");
+        let mut ledger = self.shared.lock();
         loop {
             if let Some(msg) = &ledger.fatal {
                 return Err(ServeError::Campaign(msg.clone()));
@@ -679,15 +703,13 @@ impl Coordinator {
     /// is granted, and [`Coordinator::run_to_completion`] returns `Ok(None)`
     /// after checkpointing.
     pub fn stop(&self) {
-        let mut ledger = self.shared.ledger.lock().expect("ledger poisoned");
-        ledger.stopping = true;
+        self.shared.lock().stopping = true;
         self.shared.cv.notify_all();
     }
 
     /// Progress snapshot as a JSON line (same shape as `/campaign/status`).
     pub fn status(&self) -> String {
-        let ledger = self.shared.ledger.lock().expect("ledger poisoned");
-        self.shared.status_json(&ledger)
+        self.shared.status_json(&self.shared.lock()).to_string()
     }
 
     /// Stops serving and joins the background threads.
@@ -696,17 +718,10 @@ impl Coordinator {
     }
 
     fn teardown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let mut ledger = self.shared.ledger.lock().expect("ledger poisoned");
-            ledger.stopping = true;
-            self.shared.cv.notify_all();
-        }
-        // Unblock the accept loop.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
+        // Stopping the ledger ends the local executor's loop.
+        self.stop();
+        self.transport.shutdown();
+        self.transport.join();
         if let Some(handle) = self.executor_handle.take() {
             let _ = handle.join();
         }
@@ -719,19 +734,6 @@ impl Drop for Coordinator {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, unit_trials: usize) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || {
-            handle_connection(stream, &shared, unit_trials);
-        });
-    }
-}
-
 fn query_param<'a>(target: &'a str, key: &str) -> Option<&'a str> {
     let (_, query) = target.split_once('?')?;
     query
@@ -739,86 +741,13 @@ fn query_param<'a>(target: &'a str, key: &str) -> Option<&'a str> {
         .find_map(|pair| pair.strip_prefix(key)?.strip_prefix('='))
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Shared, unit_trials: usize) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let request = match read_request(&mut stream, MAX_CONTROL_BODY) {
-        Ok(Some(request)) => request,
-        _ => return,
-    };
-    let path = request
-        .target
-        .split_once('?')
-        .map_or(request.target.as_str(), |(p, _)| p);
-    match (request.method.as_str(), path) {
-        ("GET", "/campaign/spec") => {
-            let _ = stream.write_all(&encode_binary_response(200, &shared.spec_bytes));
-        }
-        ("GET", "/campaign/model") => {
-            let _ = stream.write_all(&encode_binary_response(200, &shared.artifact_bytes));
-        }
-        ("GET", "/campaign/unit") => {
-            let worker = query_param(&request.target, "worker").unwrap_or("anonymous");
-            let grant = {
-                let mut ledger = shared.ledger.lock().expect("ledger poisoned");
-                shared.grant(&mut ledger, worker)
-            };
-            let _ = write_response(&mut stream, 200, &grant.to_json());
-        }
-        ("POST", "/campaign/result") => handle_result(&mut stream, &request, shared, unit_trials),
-        ("GET", "/campaign/status") => {
-            let body = {
-                let ledger = shared.ledger.lock().expect("ledger poisoned");
-                shared.status_json(&ledger)
-            };
-            let _ = write_response(&mut stream, 200, &body);
-        }
-        ("GET", "/healthz") => {
-            let _ = write_response(&mut stream, 200, "{\"status\":\"ok\"}");
-        }
-        _ => {
-            let _ = write_response(&mut stream, 404, "{\"error\":\"unknown route\"}");
-        }
-    }
-}
-
-fn handle_result(stream: &mut TcpStream, request: &Request, shared: &Shared, unit_trials: usize) {
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => {
-            let _ = write_response(stream, 400, "{\"error\":\"non-UTF-8 result body\"}");
-            return;
-        }
-    };
-    let result = match UnitResult::from_json(body) {
-        Ok(result) => result,
-        Err(msg) => {
-            let _ = write_response(stream, 400, &format!("{{\"error\":{}}}", quote(&msg)));
-            return;
-        }
-    };
-    let (status, response) = {
-        let mut ledger = shared.ledger.lock().expect("ledger poisoned");
-        shared.merge(&mut ledger, &result, unit_trials)
-    };
-    let _ = write_response(stream, status, &response);
-}
-
 /// In-process unit execution: the coordinator degrades gracefully down to
 /// running the whole campaign solo through the exact lease/merge path
 /// workers use.
-fn local_executor(
-    shared: Arc<Shared>,
-    mut runner: UnitRunner,
-    model: Arc<dyn FaultModel>,
-    unit_trials: usize,
-) {
+fn local_executor(shared: &Shared, mut runner: UnitRunner, model: &dyn FaultModel) {
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
         let grant = {
-            let mut ledger = shared.ledger.lock().expect("ledger poisoned");
+            let mut ledger = shared.lock();
             if ledger.stopping || ledger.fatal.is_some() {
                 return;
             }
@@ -827,26 +756,24 @@ fn local_executor(
         match grant {
             Grant::Done => return,
             Grant::Wait { retry_ms } => {
-                let ledger = shared.ledger.lock().expect("ledger poisoned");
                 let _ = shared
                     .cv
-                    .wait_timeout(ledger, Duration::from_millis(retry_ms));
+                    .wait_timeout(shared.lock(), Duration::from_millis(retry_ms));
             }
             Grant::Unit { unit, .. } => {
-                match runner.run_unit(model.as_ref(), unit.stratum, unit.start, unit.count) {
+                match runner.run_unit(model, unit.stratum, unit.start, unit.count) {
                     Ok(points) => {
                         let result = UnitResult {
                             worker: "coordinator".into(),
                             unit,
                             points,
                         };
-                        let mut ledger = shared.ledger.lock().expect("ledger poisoned");
-                        shared.merge(&mut ledger, &result, unit_trials);
+                        // A conflict is recorded in the ledger as fatal.
+                        let _ = shared.merge(&mut shared.lock(), &result);
                     }
                     Err(e) => {
-                        let mut ledger = shared.ledger.lock().expect("ledger poisoned");
-                        ledger.fatal = Some(format!("local unit execution failed: {e}"));
-                        shared.cv.notify_all();
+                        let msg = format!("local unit execution failed: {e}");
+                        let _ = shared.abort(&mut shared.lock(), msg);
                         return;
                     }
                 }

@@ -1,13 +1,16 @@
-//! A minimal HTTP/1.1 server-side codec.
+//! A minimal HTTP/1.1 codec.
 //!
 //! The build environment is offline (no hyper/axum), so this module hand-
 //! rolls the subset a JSON inference API uses: request line + headers +
-//! `Content-Length`-framed bodies in, status + JSON body out. The parser is
-//! **incremental** — [`parse_request`] consumes a growing byte buffer and
-//! either yields a complete request plus the number of bytes it occupied
-//! (so pipelined requests queued behind it stay in the buffer), or reports
-//! what it is still waiting for. Chunked transfer encoding and upgrades are
-//! deliberately out of scope.
+//! `Content-Length`-framed bodies in, status + JSON body out. The server
+//! half never blocks: the request parser is **incremental** —
+//! [`parse_request`] consumes a growing byte buffer and either yields a
+//! complete request plus the number of bytes it occupied (so pipelined
+//! requests queued behind it stay in the buffer), or reports what it is
+//! still waiting for — and the event-loop transport owns every socket read.
+//! The client half ([`encode_request`], [`read_response`]) is the blocking
+//! `Connection: close` exchange campaign workers use. Chunked transfer
+//! encoding and upgrades are deliberately out of scope.
 //!
 //! Connection persistence is **opt-in**: a request is only treated as
 //! keep-alive when it carries an explicit `Connection: keep-alive` header.
@@ -21,7 +24,7 @@
 //! (431) without accepting more input, and an oversized `Content-Length`
 //! is rejected (413) before any body byte is read.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Upper bound on the request line + headers, terminator included.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -214,44 +217,6 @@ fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
         .map(|p| p + from)
 }
 
-/// Reads one request from a blocking stream (`Connection: close` usage —
-/// trailing pipelined bytes are not read).
-///
-/// Returns `Ok(None)` on a clean EOF before any byte (the client connected
-/// and went away — not an error). Bounds are enforced before buffering:
-/// the buffer never grows past [`MAX_HEAD_BYTES`] while the head is
-/// incomplete, and never past the framed request length afterwards.
-///
-/// # Errors
-///
-/// Returns a human-readable description for malformed framing, oversized
-/// heads, or bodies larger than `max_body`; I/O errors (including read
-/// timeouts) are formatted into the same error string.
-pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Option<Request>, String> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    let mut scan_from = 0usize;
-    loop {
-        let budget = match parse_request(&buf, &mut scan_from, max_body) {
-            Ok(Outcome::Complete { request, .. }) => return Ok(Some(request)),
-            Ok(Outcome::Partial(Incomplete::Head)) => MAX_HEAD_BYTES - buf.len(),
-            Ok(Outcome::Partial(Incomplete::Body { total })) => total - buf.len(),
-            Err(e) => return Err(e.message),
-        };
-        let want = budget.min(chunk.len());
-        let n = stream
-            .read(&mut chunk[..want])
-            .map_err(|e| format!("read: {e}"))?;
-        if n == 0 {
-            if buf.is_empty() {
-                return Ok(None);
-            }
-            return Err("connection closed mid-request".into());
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
 /// Encodes a JSON response head + body into one buffer.
 ///
 /// `keep_alive` selects the `Connection` header; `retry_after` (seconds)
@@ -262,8 +227,26 @@ pub fn encode_response(
     keep_alive: bool,
     retry_after: Option<u64>,
 ) -> Vec<u8> {
+    encode_typed_response(
+        status,
+        "application/json",
+        body.as_bytes(),
+        keep_alive,
+        retry_after,
+    )
+}
+
+/// [`encode_response`] for any `Content-Type` (the coordinator serves the
+/// model artifact and campaign spec as `application/octet-stream`).
+pub(crate) fn encode_typed_response(
+    status: u16,
+    content_type: &str,
+    body: &[u8],
+    keep_alive: bool,
+    retry_after: Option<u64>,
+) -> Vec<u8> {
     let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {len}\r\n",
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {len}\r\n",
         reason = reason_phrase(status),
         len = body.len(),
     );
@@ -275,31 +258,6 @@ pub fn encode_response(
     } else {
         "Connection: close\r\n\r\n"
     });
-    let mut out = head.into_bytes();
-    out.extend_from_slice(body.as_bytes());
-    out
-}
-
-/// Writes a JSON response with `Connection: close` framing.
-///
-/// # Errors
-///
-/// Propagates stream write failures.
-pub fn write_response(stream: &mut impl Write, status: u16, body: &str) -> std::io::Result<()> {
-    stream.write_all(&encode_response(status, body, false, None))?;
-    stream.flush()
-}
-
-/// Encodes a binary (`application/octet-stream`) response head + body —
-/// the framing the coordinator uses for model-artifact and campaign-spec
-/// payloads. Always `Connection: close`.
-pub fn encode_binary_response(status: u16, body: &[u8]) -> Vec<u8> {
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/octet-stream\r\n\
-         Content-Length: {len}\r\nConnection: close\r\n\r\n",
-        reason = reason_phrase(status),
-        len = body.len(),
-    );
     let mut out = head.into_bytes();
     out.extend_from_slice(body);
     out
@@ -469,10 +427,18 @@ pub fn reason_phrase(status: u16) -> &'static str {
 mod tests {
     use super::*;
 
+    /// The complete request at the start of `raw`, parsed in one call.
+    fn complete(raw: &[u8]) -> Request {
+        match parse_request(raw, &mut 0, 1024).unwrap() {
+            Outcome::Complete { request, .. } => request,
+            other => panic!("incomplete: {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_post_with_body() {
         let raw = b"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\nhello world";
-        let req = read_request(&mut &raw[..], 1024).unwrap().unwrap();
+        let req = complete(raw);
         assert_eq!(req.method, "POST");
         assert_eq!(req.target, "/predict");
         assert_eq!(req.header("HOST"), Some("x"));
@@ -481,11 +447,13 @@ mod tests {
 
     #[test]
     fn parses_get_without_body_and_eof() {
-        let raw = b"GET /healthz HTTP/1.1\r\n\r\n";
-        let req = read_request(&mut &raw[..], 1024).unwrap().unwrap();
+        let req = complete(b"GET /healthz HTTP/1.1\r\n\r\n");
         assert_eq!(req.method, "GET");
         assert!(req.body.is_empty());
-        assert!(read_request(&mut &b""[..], 1024).unwrap().is_none());
+        assert_eq!(
+            parse_request(b"", &mut 0, 1024).unwrap(),
+            Outcome::Partial(Incomplete::Head)
+        );
     }
 
     #[test]
@@ -494,57 +462,41 @@ mod tests {
             &b"GARBAGE\r\n\r\n"[..],
             b"GET /x SPDY/3\r\n\r\n",
             b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
-            b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
         ] {
-            assert!(read_request(&mut &raw[..], 1024).is_err(), "{raw:?}");
+            let err = parse_request(raw, &mut 0, 1024).unwrap_err();
+            assert_eq!(err.status, 400, "{raw:?}");
         }
+        // A body cut short is incomplete, never a request; the transport
+        // drops it when the peer's EOF arrives.
+        assert_eq!(
+            parse_request(
+                b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
+                &mut 0,
+                1024
+            )
+            .unwrap(),
+            Outcome::Partial(Incomplete::Body { total: 50 })
+        );
     }
 
     #[test]
     fn rejects_oversized_body_before_reading_it_with_413() {
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 99999\r\n\r\n";
-        let err = read_request(&mut &raw[..], 1024).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
-        let mut scan = 0;
-        let err = parse_request(raw, &mut scan, 1024).unwrap_err();
+        let err = parse_request(raw, &mut 0, 1024).unwrap_err();
+        assert!(err.message.contains("exceeds"), "{err:?}");
         assert_eq!(err.status, 413);
     }
 
-    /// The regression the rewrite pins: the old reader only checked the
-    /// bound *after* appending a chunk, so a head of up to
-    /// `MAX_HEAD_BYTES + 1024` bytes was accepted and fully buffered. Now
-    /// not one byte past the bound is read off the stream.
+    /// A head that runs past the bound is refused with 431 instead of
+    /// being buffered whole.
     #[test]
     fn head_bound_is_enforced_before_buffering_past_it() {
-        struct CountingReader<'a> {
-            data: &'a [u8],
-            pos: usize,
-        }
-        impl Read for CountingReader<'_> {
-            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-                let n = out.len().min(self.data.len() - self.pos);
-                out[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-                self.pos += n;
-                Ok(n)
-            }
-        }
-
-        // A head 1 KiB past the limit: previously accepted, now rejected.
+        // A head 1 KiB past the limit.
         let mut raw = b"GET /x HTTP/1.1\r\n".to_vec();
         while raw.len() < MAX_HEAD_BYTES + 1000 {
             raw.extend_from_slice(b"X-Pad: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n");
         }
         raw.extend_from_slice(b"\r\n");
-        let mut reader = CountingReader { data: &raw, pos: 0 };
-        let err = read_request(&mut reader, 1024).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
-        assert!(
-            reader.pos <= MAX_HEAD_BYTES,
-            "read {} bytes, past the {MAX_HEAD_BYTES}-byte bound",
-            reader.pos
-        );
-
-        // And the incremental parser reports it as a 431.
         let mut scan = 0;
         let err = parse_request(&raw, &mut scan, 1024).unwrap_err();
         assert_eq!(err.status, 431);
@@ -637,9 +589,7 @@ mod tests {
 
     #[test]
     fn response_is_well_formed() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "{\"ok\":true}").unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(encode_response(200, "{\"ok\":true}", false, None)).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: close\r\n"));
@@ -663,15 +613,13 @@ mod tests {
     /// request parses, an encoded response reads back.
     #[test]
     fn client_and_server_codecs_round_trip() {
-        let raw = encode_request("POST", "/campaign/result", b"{\"id\":3}");
-        let req = read_request(&mut &raw[..], 1024).unwrap().unwrap();
+        let req = complete(&encode_request("POST", "/campaign/result", b"{\"id\":3}"));
         assert_eq!(req.method, "POST");
         assert_eq!(req.target, "/campaign/result");
         assert_eq!(req.body, b"{\"id\":3}");
         assert!(!req.wants_keep_alive());
 
-        let raw = encode_request("GET", "/campaign/unit?worker=w0", b"");
-        let req = read_request(&mut &raw[..], 1024).unwrap().unwrap();
+        let req = complete(&encode_request("GET", "/campaign/unit?worker=w0", b""));
         assert_eq!(req.method, "GET");
         assert!(req.body.is_empty());
         assert!(req.header("content-length").is_none());
@@ -683,7 +631,7 @@ mod tests {
         assert_eq!(resp.body, b"{\"ok\":true}");
 
         let payload: Vec<u8> = (0..=255).collect();
-        let raw = encode_binary_response(200, &payload);
+        let raw = encode_typed_response(200, "application/octet-stream", &payload, false, None);
         let resp = read_response(&mut &raw[..], 1024).unwrap();
         assert_eq!(resp.body, payload);
         assert_eq!(

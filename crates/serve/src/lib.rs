@@ -40,10 +40,10 @@
 //! `--canary-rate` runs a fault-injected shadow replica over a copy of live
 //! traffic to measure detection coverage (see `docs/recovery.md`).
 //!
-//! The same HTTP substrate also carries the **distributed fault campaign**:
-//! a [`Coordinator`] shards a campaign's trial space into leased work units
-//! served at `/campaign/spec`, `/campaign/model`, `/campaign/unit`,
-//! `/campaign/result` and `/campaign/status`, and workers
+//! The same event-loop transport also carries the **distributed fault
+//! campaign**: a [`Coordinator`] shards a campaign's trial space into leased
+//! work units served at `/campaign/spec`, `/campaign/model`,
+//! `/campaign/unit`, `/campaign/result` and `/campaign/status`, and workers
 //! ([`run_worker`]) pull, execute and report units with exponential-backoff
 //! retries. Leases expire and re-dispatch, duplicates merge idempotently,
 //! and the coordinator checkpoints for crash-safe resume — the final report
@@ -76,6 +76,7 @@ mod poller;
 pub mod protocol;
 pub mod recovery;
 pub mod server;
+mod transport;
 pub mod worker;
 
 pub use backoff::Backoff;

@@ -71,11 +71,11 @@ pub enum Grant {
     Done,
 }
 
-fn num(v: f64) -> JsonValue {
+pub(crate) fn num(v: f64) -> JsonValue {
     JsonValue::Number(v)
 }
 
-fn obj(entries: Vec<(&str, JsonValue)>) -> JsonValue {
+pub(crate) fn obj(entries: Vec<(&str, JsonValue)>) -> JsonValue {
     JsonValue::Object(
         entries
             .into_iter()

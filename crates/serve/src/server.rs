@@ -1,27 +1,19 @@
-//! The HTTP server: model loading, event-driven connection layer, worker
-//! pool, routing, admin plane.
+//! The inference server: model loading, worker pool, routing, admin plane.
 //!
 //! # Threading model
 //!
-//! * one **event-loop** thread owns the listener and every connection
-//!   socket: non-blocking accept, incremental request parsing, response
-//!   writing and all timeouts run through one readiness poller
-//!   (`crate::poller` — epoll on Linux, poll(2) elsewhere on Unix),
-//! * a small **handler** pool executes routed requests (predict blocks on
-//!   its batch results, reload decodes an artifact — neither may stall the
-//!   event loop); completions flow back over a channel plus a wake-pipe
-//!   byte that interrupts the poller,
+//! * the connection layer is the crate's shared event-loop transport
+//!   (`crate::transport`): one event-loop thread owns every socket, and a
+//!   handler pool of `2 × workers + 2` threads answers routed requests —
+//!   a predict blocks there on its batch results, never on the event loop,
 //! * `workers` long-lived **worker** threads drain the [`BatchQueue`],
 //!   stage each micro-batch into a [`TensorArena`] slot (one contiguous
 //!   row copy per request — the same staging discipline as
 //!   `Network::evaluate`) and run one eval-mode forward per batch.
 //!
-//! Connections are HTTP/1.1 with **opt-in** keep-alive and request
-//! pipelining: responses are emitted strictly in request order per
-//! connection. Past `max_connections` the listener answers `503` with
-//! `Retry-After` instead of queueing unboundedly (load-shedding); stalled
-//! connections are reaped by an I/O deadline (408) and idle keep-alive
-//! connections by a separate idle deadline. See `docs/serving.md`.
+//! Keep-alive, pipelining, deadlines (`--io-timeout-ms`,
+//! `--idle-timeout-ms`) and load-shedding past `--max-connections` come
+//! from the transport. See `docs/serving.md`.
 //!
 //! Workers wrap their loop in [`fitact_tensor::matmul::serial_scope`]: the
 //! worker pool *is* the coarse parallel decomposition, so the matmul
@@ -56,12 +48,11 @@
 //! disk must use an atomic rename (the mapping contract —
 //! `docs/artifact-format.md`).
 
-#![cfg_attr(not(unix), allow(dead_code, unused_imports))]
-
 use crate::batcher::{BatchQueue, PendingRow, RowOutput, RowResult};
-use crate::http::{encode_response, parse_request, Outcome, Request};
+use crate::http::Request;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::recovery::{self, RetryPolicy};
+use crate::transport::{Limits, Reply, Routes, Transport, DEFAULT_MAX_CONNECTIONS};
 use crate::ServeError;
 use fitact_data::DataSpec;
 use fitact_faults::CanaryInjector;
@@ -72,23 +63,10 @@ use fitact_tensor::matmul::serial_scope;
 use fitact_tensor::{Precision, Tensor, TensorArena};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-#[cfg(unix)]
-use crate::poller::Poller;
-#[cfg(unix)]
-use std::collections::{BTreeMap, HashMap};
-#[cfg(unix)]
-use std::io::{Read, Write};
-#[cfg(unix)]
-use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::fd::AsRawFd;
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
 
 /// Base RNG seed for the canary injector; XORed with the model generation so
 /// each reload gets a fresh, still-reproducible fault stream.
@@ -97,32 +75,6 @@ const CANARY_SEED: u64 = 0x00F1_7AC7;
 /// Depth of the canary mirror queue. Shadow batches beyond this are dropped
 /// (and counted) rather than back-pressuring live traffic.
 const CANARY_QUEUE_DEPTH: usize = 64;
-
-/// Poller token of the listening socket.
-#[cfg(unix)]
-const TOKEN_LISTENER: u64 = 0;
-/// Poller token of the wake pipe's read end.
-#[cfg(unix)]
-const TOKEN_WAKE: u64 = 1;
-/// First token handed to an accepted connection.
-#[cfg(unix)]
-const TOKEN_FIRST_CONN: u64 = 2;
-
-/// Per-connection cap on pipelined requests awaiting a response; past it
-/// the connection is answered `429` and closed.
-#[cfg(unix)]
-const MAX_INFLIGHT_PER_CONN: usize = 64;
-
-/// Upper bound on socket reads serviced per readiness event, so one
-/// fire-hosing connection cannot starve the rest (level-triggered polling
-/// re-delivers whatever is left).
-#[cfg(unix)]
-const MAX_READS_PER_EVENT: usize = 64;
-
-/// How long a draining server waits for in-flight responses to flush
-/// before forcibly dropping connections.
-#[cfg(unix)]
-const SHUTDOWN_GRACE: Duration = Duration::from_secs(10);
 
 /// Server configuration. `Default` gives the documented CLI defaults.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,7 +134,7 @@ impl Default for ServeConfig {
             input_shape: None,
             max_body_bytes: 8 * 1024 * 1024,
             max_queue: 1024,
-            max_connections: 256,
+            max_connections: DEFAULT_MAX_CONNECTIONS,
             retry_policy: RetryPolicy::Off,
             violation_threshold: 1,
             canary_rate: 0.0,
@@ -289,7 +241,7 @@ fn infer_input_shape<'a>(
         })
 }
 
-/// Everything shared between the event-loop, handler and worker threads.
+/// Everything shared between the handler and worker threads.
 #[derive(Debug)]
 struct Shared {
     queue: BatchQueue,
@@ -300,62 +252,18 @@ struct Shared {
     input_shape_override: Option<Vec<usize>>,
     /// Precision pin from `--precision`: reloads re-verify it too.
     expected_precision: Option<Precision>,
-    stopping: AtomicBool,
-    max_body: usize,
     workers: usize,
-    max_connections: usize,
     retry_policy: RetryPolicy,
     /// Per-batch violation count at which a batch becomes suspect (≥ 1).
     violation_threshold: u64,
     /// Per-bit fault rate of the canary shadow replica (0 = no canary).
     canary_rate: f64,
-    /// Write half of the event loop's wake pipe: one byte here interrupts
-    /// the poller so completions and shutdown are noticed immediately.
-    #[cfg(unix)]
-    wake_tx: UnixStream,
 }
 
 impl Shared {
     fn current_model(&self) -> Arc<LoadedModel> {
         Arc::clone(&self.model.read().expect("model lock poisoned"))
     }
-
-    /// Interrupts the event loop's poller (best effort — a full pipe means
-    /// a wake is already pending).
-    fn wake(&self) {
-        #[cfg(unix)]
-        {
-            let _ = (&self.wake_tx).write(&[1]);
-        }
-    }
-
-    /// Idempotent graceful-shutdown trigger: stop accepting, let workers
-    /// drain the queue, wake the event loop so it starts draining.
-    fn begin_shutdown(&self) {
-        if self.stopping.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.queue.shutdown();
-        self.wake();
-    }
-}
-
-/// One routed request travelling from the event loop to the handler pool.
-#[cfg(unix)]
-struct HandlerJob {
-    conn: u64,
-    seq: u64,
-    request: Request,
-}
-
-/// A handler's finished response travelling back to the event loop.
-#[cfg(unix)]
-struct Completion {
-    conn: u64,
-    seq: u64,
-    status: u16,
-    body: String,
-    then_shutdown: bool,
 }
 
 /// A running inference server. Dropping the handle does **not** stop the
@@ -364,9 +272,7 @@ struct Completion {
 #[derive(Debug)]
 pub struct Server {
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    event: Option<JoinHandle<()>>,
-    handlers: Vec<JoinHandle<()>>,
+    transport: Transport,
     workers: Vec<JoinHandle<()>>,
     /// The canary shadow thread (present when `canary_rate > 0`); exits on
     /// its own once every worker has dropped its mirror sender.
@@ -407,32 +313,8 @@ impl Server {
                 "io_timeout and idle_timeout must be non-zero".into(),
             ));
         }
-        #[cfg(not(unix))]
-        {
-            let _ = model_path;
-            Err(ServeError::InvalidConfig(
-                "the event-driven serving transport requires a Unix platform".into(),
-            ))
-        }
-        #[cfg(unix)]
-        {
-            Self::start_unix(model_path.as_ref(), config)
-        }
-    }
-
-    #[cfg(unix)]
-    fn start_unix(model_path: &Path, config: &ServeConfig) -> Result<Server, ServeError> {
-        let model_path = model_path.to_path_buf();
+        let model_path = model_path.as_ref().to_path_buf();
         let model = load_model(&model_path, config.input_shape.as_deref(), config.precision)?;
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let (wake_tx, wake_rx) = UnixStream::pair()?;
-        wake_tx.set_nonblocking(true)?;
-        wake_rx.set_nonblocking(true)?;
-        let mut poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
-        poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, true, false)?;
         let shared = Arc::new(Shared {
             queue: BatchQueue::new(config.max_batch, config.max_wait, config.max_queue),
             metrics: Metrics::new(config.max_batch),
@@ -441,15 +323,21 @@ impl Server {
             model_path,
             input_shape_override: config.input_shape.clone(),
             expected_precision: config.precision,
-            stopping: AtomicBool::new(false),
-            max_body: config.max_body_bytes,
             workers: config.workers,
-            max_connections: config.max_connections,
             retry_policy: config.retry_policy,
             violation_threshold: config.violation_threshold.max(1),
             canary_rate: config.canary_rate,
-            wake_tx,
         });
+        let limits = Limits {
+            max_connections: config.max_connections,
+            max_body: config.max_body_bytes,
+            io_timeout: config.io_timeout,
+            idle_timeout: config.idle_timeout,
+            // Sized past the worker count so blocking predicts cannot
+            // monopolise the pool while cheap admin requests wait.
+            handlers: config.workers * 2 + 2,
+        };
+        let transport = Transport::start(&config.addr, limits, "fitact-serve", shared.clone())?;
         // The mirror senders live only inside worker closures: when the last
         // worker exits, the channel disconnects and the canary thread ends.
         let (canary_tx, canary) = if config.canary_rate > 0.0 {
@@ -473,55 +361,9 @@ impl Server {
                     .expect("worker thread spawns")
             })
             .collect();
-        // Handler pool: sized past the worker count so blocking predicts
-        // cannot monopolise it while cheap admin requests wait.
-        let (jobs_tx, jobs_rx) = mpsc::channel::<HandlerJob>();
-        let jobs_rx = Arc::new(Mutex::new(jobs_rx));
-        let (done_tx, done_rx) = mpsc::channel::<Completion>();
-        let handlers = (0..config.workers * 2 + 2)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let jobs = Arc::clone(&jobs_rx);
-                let done = done_tx.clone();
-                std::thread::Builder::new()
-                    .name(format!("fitact-serve-handler-{i}"))
-                    .spawn(move || handler_loop(&shared, &jobs, &done))
-                    .expect("handler thread spawns")
-            })
-            .collect();
-        drop(done_tx);
-        let event = {
-            let shared = Arc::clone(&shared);
-            let io_timeout = config.io_timeout;
-            let idle_timeout = config.idle_timeout;
-            std::thread::Builder::new()
-                .name("fitact-serve-event".into())
-                .spawn(move || {
-                    let mut event_loop = EventLoop {
-                        shared: Arc::clone(&shared),
-                        poller,
-                        listener: Some(listener),
-                        wake_rx,
-                        conns: HashMap::new(),
-                        next_token: TOKEN_FIRST_CONN,
-                        jobs_tx,
-                        done_rx,
-                        io_timeout,
-                        idle_timeout,
-                        stop_seen: None,
-                    };
-                    event_loop.run();
-                    // Whatever made the loop exit, the rest of the server
-                    // must come down with it.
-                    shared.begin_shutdown();
-                })
-                .expect("event thread spawns")
-        };
         Ok(Server {
             shared,
-            addr,
-            event: Some(event),
-            handlers,
+            transport,
             workers,
             canary,
         })
@@ -529,27 +371,23 @@ impl Server {
 
     /// The bound address (resolves the ephemeral port of `addr: …:0`).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.transport.addr()
     }
 
     /// Triggers graceful shutdown: stop accepting, drain queued requests,
     /// stop workers. Idempotent; returns immediately — use [`Server::join`]
     /// to wait.
     pub fn shutdown(&self) {
-        self.shared.begin_shutdown();
+        self.transport.shutdown();
     }
 
     /// Blocks until the server has shut down (via [`Server::shutdown`] or
     /// `POST /admin/shutdown`) and every worker has exited, then returns the
     /// final metrics snapshot.
     pub fn join(mut self) -> MetricsSnapshot {
-        if let Some(event) = self.event.take() {
-            let _ = event.join();
-        }
-        // The event loop owned the job sender; handlers drain and exit.
-        for handler in self.handlers.drain(..) {
-            let _ = handler.join();
-        }
+        // The drain shut the batch queue, so the workers finish what is
+        // queued and exit.
+        self.transport.join();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -564,544 +402,6 @@ impl Server {
     /// The live metrics registry (what `/metrics` snapshots).
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.metrics.snapshot()
-    }
-}
-
-/// A queued, order-preserving response for one pipelined request.
-#[cfg(unix)]
-struct Ready {
-    bytes: Vec<u8>,
-    close_after: bool,
-}
-
-/// Per-connection state owned by the event loop.
-#[cfg(unix)]
-struct Conn {
-    stream: TcpStream,
-    /// Unparsed request bytes.
-    buf: Vec<u8>,
-    /// Resume offset for the head-terminator scan (see [`parse_request`]).
-    scan_from: usize,
-    /// Encoded responses not yet written, drained from `out_pos`.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Sequence number assigned to the next parsed request.
-    next_seq: u64,
-    /// Sequence number of the next response to emit (pipelining order).
-    next_emit: u64,
-    /// Completed responses waiting for their turn.
-    ready: BTreeMap<u64, Ready>,
-    /// Requests parsed but not yet emitted.
-    inflight: usize,
-    /// Keep-alive flag of each dispatched request, by sequence number.
-    keep_alive: HashMap<u64, bool>,
-    /// No more requests will be read (EOF, error, `Connection: close`).
-    stop_reading: bool,
-    /// Close the socket once `out` is flushed and `inflight` is zero.
-    close_after_flush: bool,
-    /// The peer is gone (EOF or socket error) — flush what we can.
-    peer_eof: bool,
-    /// Current poller interest `(readable, writable)`; `(false, false)`
-    /// means the fd is deregistered.
-    interest: (bool, bool),
-    /// When to reap this connection, and whether that reap is an idle
-    /// keep-alive close (silent) or an I/O stall (408).
-    deadline: Option<Instant>,
-    idle: bool,
-}
-
-#[cfg(unix)]
-impl Conn {
-    fn new(stream: TcpStream, idle_until: Instant) -> Conn {
-        Conn {
-            stream,
-            buf: Vec::new(),
-            scan_from: 0,
-            out: Vec::new(),
-            out_pos: 0,
-            next_seq: 0,
-            next_emit: 0,
-            ready: BTreeMap::new(),
-            inflight: 0,
-            keep_alive: HashMap::new(),
-            stop_reading: false,
-            close_after_flush: false,
-            peer_eof: false,
-            interest: (true, false),
-            deadline: Some(idle_until),
-            idle: true,
-        }
-    }
-
-    fn out_pending(&self) -> bool {
-        self.out_pos < self.out.len()
-    }
-
-    /// Appends every response whose turn has come to the output buffer.
-    fn emit_ready(&mut self) {
-        while let Some(ready) = self.ready.remove(&self.next_emit) {
-            self.out.extend_from_slice(&ready.bytes);
-            self.next_emit += 1;
-            self.inflight -= 1;
-            if ready.close_after {
-                self.stop_reading = true;
-                self.close_after_flush = true;
-                // Nothing after a close-framed response is valid.
-                self.ready.clear();
-                break;
-            }
-        }
-    }
-
-    /// Writes as much pending output as the socket accepts. `Ok(true)`
-    /// means fully flushed; `Err` means the peer is unwritable.
-    fn flush(&mut self) -> std::io::Result<bool> {
-        while self.out_pending() {
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        self.out.clear();
-        self.out_pos = 0;
-        Ok(true)
-    }
-}
-
-/// The event loop: owns the listener, the wake pipe and every connection.
-#[cfg(unix)]
-struct EventLoop {
-    shared: Arc<Shared>,
-    poller: Poller,
-    listener: Option<TcpListener>,
-    wake_rx: UnixStream,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
-    jobs_tx: mpsc::Sender<HandlerJob>,
-    done_rx: mpsc::Receiver<Completion>,
-    io_timeout: Duration,
-    idle_timeout: Duration,
-    /// Set when the stopping flag was first observed; drives the drain.
-    stop_seen: Option<Instant>,
-}
-
-#[cfg(unix)]
-impl EventLoop {
-    fn run(&mut self) {
-        let mut events = Vec::new();
-        loop {
-            let now = Instant::now();
-            if self.shared.stopping.load(Ordering::SeqCst) && self.stop_seen.is_none() {
-                self.begin_drain(now);
-            }
-            if let Some(since) = self.stop_seen {
-                if self.conns.is_empty() {
-                    break;
-                }
-                if now.duration_since(since) > SHUTDOWN_GRACE {
-                    let tokens: Vec<u64> = self.conns.keys().copied().collect();
-                    for token in tokens {
-                        self.close(token);
-                    }
-                    break;
-                }
-            }
-            let timeout = self.next_wakeup(now);
-            if self.poller.wait(timeout, &mut events).is_err() {
-                break;
-            }
-            let now = Instant::now();
-            let mut touched: Vec<u64> = Vec::new();
-            for event in &events {
-                match event.token {
-                    TOKEN_LISTENER => self.handle_listener(now),
-                    TOKEN_WAKE => self.drain_wake_pipe(),
-                    token => {
-                        if event.readable {
-                            self.conn_readable(token);
-                        }
-                        if event.hangup {
-                            if let Some(conn) = self.conns.get_mut(&token) {
-                                conn.peer_eof = true;
-                                conn.stop_reading = true;
-                            }
-                        }
-                        touched.push(token);
-                    }
-                }
-            }
-            touched.extend(self.drain_completions());
-            for token in touched {
-                self.service(token, now);
-            }
-            self.sweep_deadlines(now);
-        }
-    }
-
-    /// The poller timeout: the nearest connection deadline, capped by the
-    /// shutdown grace window when draining.
-    fn next_wakeup(&self, now: Instant) -> Option<Duration> {
-        let mut next: Option<Instant> = self.conns.values().filter_map(|c| c.deadline).min();
-        if let Some(since) = self.stop_seen {
-            let grace_end = since + SHUTDOWN_GRACE;
-            next = Some(next.map_or(grace_end, |d| d.min(grace_end)));
-        }
-        next.map(|d| d.saturating_duration_since(now))
-    }
-
-    /// First observation of the stopping flag: close the listener, reap
-    /// idle connections, stop reading new requests everywhere.
-    fn begin_drain(&mut self, now: Instant) {
-        self.stop_seen = Some(now);
-        if let Some(listener) = self.listener.take() {
-            let _ = self.poller.deregister(listener.as_raw_fd());
-        }
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.stop_reading = true;
-                conn.buf.clear();
-            }
-            self.service(token, now);
-        }
-    }
-
-    fn handle_listener(&mut self, now: Instant) {
-        loop {
-            let Some(listener) = self.listener.as_ref() else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if self.shared.stopping.load(Ordering::SeqCst) {
-                        continue; // drop: the drain is about to close the listener
-                    }
-                    if self.conns.len() >= self.shared.max_connections {
-                        // Load-shedding: a bounded inline write beats
-                        // silently dropping the socket.
-                        self.shared.metrics.on_load_shed();
-                        let _ = stream.set_nonblocking(true);
-                        let body =
-                            error_json("server is at its connection limit; retry").to_string();
-                        let _ = (&stream).write(&encode_response(503, &body, false, Some(1)));
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        self.shared.metrics.on_io_setup_failure();
-                        continue;
-                    }
-                    // Each response is one complete write. Without this,
-                    // Nagle holds a response written while the previous one
-                    // is unacknowledged until the client's delayed ACK.
-                    let _ = stream.set_nodelay(true);
-                    let token = self.next_token;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, true, false)
-                        .is_err()
-                    {
-                        self.shared.metrics.on_io_setup_failure();
-                        continue;
-                    }
-                    self.next_token += 1;
-                    self.shared.metrics.on_connection_accepted();
-                    self.conns
-                        .insert(token, Conn::new(stream, now + self.idle_timeout));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn drain_wake_pipe(&mut self) {
-        let mut sink = [0u8; 64];
-        while matches!(self.wake_rx.read(&mut sink), Ok(n) if n > 0) {}
-    }
-
-    /// Reads whatever the socket has (bounded per event) and parses every
-    /// complete request out of the buffer.
-    fn conn_readable(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if !conn.stop_reading {
-            let mut chunk = [0u8; 16 * 1024];
-            for _ in 0..MAX_READS_PER_EVENT {
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        conn.peer_eof = true;
-                        conn.stop_reading = true;
-                        break;
-                    }
-                    Ok(n) => conn.buf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.peer_eof = true;
-                        conn.stop_reading = true;
-                        break;
-                    }
-                }
-            }
-        }
-        self.parse_available(token);
-    }
-
-    /// Parses and dispatches every complete request at the front of the
-    /// connection's buffer.
-    fn parse_available(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        loop {
-            if conn.stop_reading {
-                conn.buf.clear();
-                conn.scan_from = 0;
-                return;
-            }
-            match parse_request(&conn.buf, &mut conn.scan_from, self.shared.max_body) {
-                Ok(Outcome::Complete { request, consumed }) => {
-                    conn.buf.drain(..consumed);
-                    conn.scan_from = 0;
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    conn.inflight += 1;
-                    if seq > 0 {
-                        self.shared.metrics.on_keepalive_reuse();
-                    }
-                    let keep_alive = request.wants_keep_alive();
-                    if !keep_alive {
-                        // No pipelining past an explicit (or default) close.
-                        conn.stop_reading = true;
-                    }
-                    if conn.inflight > MAX_INFLIGHT_PER_CONN {
-                        let body = error_json(
-                            "too many pipelined requests in flight on this connection; retry",
-                        )
-                        .to_string();
-                        conn.ready.insert(
-                            seq,
-                            Ready {
-                                bytes: encode_response(429, &body, false, Some(1)),
-                                close_after: true,
-                            },
-                        );
-                        conn.stop_reading = true;
-                    } else {
-                        conn.keep_alive.insert(seq, keep_alive);
-                        if self
-                            .jobs_tx
-                            .send(HandlerJob {
-                                conn: token,
-                                seq,
-                                request,
-                            })
-                            .is_err()
-                        {
-                            conn.keep_alive.remove(&seq);
-                            let body = error_json("server is shutting down").to_string();
-                            conn.ready.insert(
-                                seq,
-                                Ready {
-                                    bytes: encode_response(503, &body, false, None),
-                                    close_after: true,
-                                },
-                            );
-                            conn.stop_reading = true;
-                        }
-                    }
-                }
-                Ok(Outcome::Partial(_)) => return,
-                Err(e) => {
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    conn.inflight += 1;
-                    conn.ready.insert(
-                        seq,
-                        Ready {
-                            bytes: encode_response(
-                                e.status,
-                                &error_json(&e.message).to_string(),
-                                false,
-                                None,
-                            ),
-                            close_after: true,
-                        },
-                    );
-                    conn.stop_reading = true;
-                    conn.buf.clear();
-                    conn.scan_from = 0;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Moves handler completions into their connections' ready queues.
-    /// Returns the connections that need servicing.
-    fn drain_completions(&mut self) -> Vec<u64> {
-        let mut touched = Vec::new();
-        while let Ok(done) = self.done_rx.try_recv() {
-            if done.then_shutdown {
-                // The response is queued before the drain begins, so the
-                // admin client always learns the shutdown was accepted.
-                self.shared.begin_shutdown();
-            }
-            let stopping = self.shared.stopping.load(Ordering::SeqCst);
-            let Some(conn) = self.conns.get_mut(&done.conn) else {
-                continue; // connection reaped while the handler ran
-            };
-            let keep_alive = conn.keep_alive.remove(&done.seq).unwrap_or(false) && !stopping;
-            conn.ready.insert(
-                done.seq,
-                Ready {
-                    bytes: encode_response(done.status, &done.body, keep_alive, None),
-                    close_after: !keep_alive,
-                },
-            );
-            touched.push(done.conn);
-        }
-        touched
-    }
-
-    /// Emits due responses, flushes, closes finished connections and
-    /// re-arms poller interest and deadlines.
-    fn service(&mut self, token: u64, now: Instant) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        conn.emit_ready();
-        let flushed = match conn.flush() {
-            Ok(done) => done,
-            Err(_) => {
-                self.close(token);
-                return;
-            }
-        };
-        let conn = self.conns.get_mut(&token).expect("present above");
-        let drained = flushed && conn.inflight == 0 && conn.ready.is_empty();
-        if drained && (conn.close_after_flush || conn.peer_eof || conn.stop_reading) {
-            self.close(token);
-            return;
-        }
-        // Poller interest: read while requests may still arrive, write
-        // while output is pending. `(false, false)` would spin on
-        // level-triggered hangup events, so such fds are deregistered.
-        let want = (!conn.stop_reading, conn.out_pending());
-        if want != conn.interest {
-            let fd = conn.stream.as_raw_fd();
-            let result = match (conn.interest == (false, false), want == (false, false)) {
-                (false, true) => self.poller.deregister(fd),
-                (true, false) => self.poller.register(fd, token, want.0, want.1),
-                (false, false) => self.poller.modify(fd, token, want.0, want.1),
-                (true, true) => Ok(()),
-            };
-            if result.is_err() {
-                self.shared.metrics.on_io_setup_failure();
-                self.close(token);
-                return;
-            }
-            let conn = self.conns.get_mut(&token).expect("present above");
-            conn.interest = want;
-        }
-        let conn = self.conns.get_mut(&token).expect("present above");
-        // Deadlines: socket I/O in progress gets the I/O deadline; a
-        // connection waiting only on handlers gets none (predict has its
-        // own execution timeout); a quiet keep-alive connection gets the
-        // idle deadline.
-        conn.idle = false;
-        if conn.out_pending() || !conn.buf.is_empty() {
-            conn.deadline = Some(now + self.io_timeout);
-        } else if conn.inflight > 0 {
-            conn.deadline = None;
-        } else if conn.stop_reading || conn.close_after_flush {
-            conn.deadline = Some(now + self.io_timeout);
-        } else {
-            conn.deadline = Some(now + self.idle_timeout);
-            conn.idle = true;
-        }
-    }
-
-    /// Reaps connections past their deadline: silently when idle, with a
-    /// best-effort 408 when a request or response stalled mid-transfer.
-    fn sweep_deadlines(&mut self, now: Instant) {
-        let expired: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.deadline.is_some_and(|d| d <= now))
-            .map(|(&t, _)| t)
-            .collect();
-        for token in expired {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                continue;
-            };
-            if conn.idle {
-                self.shared.metrics.on_idle_closed();
-                self.close(token);
-            } else if conn.out_pending() || conn.close_after_flush || conn.peer_eof {
-                // Already trying to finish or the peer is gone: give up.
-                self.close(token);
-            } else {
-                self.shared.metrics.on_io_timeout();
-                conn.out.extend_from_slice(&encode_response(
-                    408,
-                    &error_json("request timed out").to_string(),
-                    false,
-                    None,
-                ));
-                conn.stop_reading = true;
-                conn.close_after_flush = true;
-                conn.buf.clear();
-                self.service(token, now);
-            }
-        }
-    }
-
-    fn close(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            if conn.interest != (false, false) {
-                let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            }
-        }
-    }
-}
-
-/// One handler thread: pull a job, route it (blocking on batch execution
-/// for predicts), send the completion back and wake the event loop.
-#[cfg(unix)]
-fn handler_loop(
-    shared: &Arc<Shared>,
-    jobs: &Mutex<mpsc::Receiver<HandlerJob>>,
-    done: &mpsc::Sender<Completion>,
-) {
-    loop {
-        // Holding the lock across `recv` is the standard shared-receiver
-        // pattern: the waiter inside `recv` releases it as soon as a job
-        // (or disconnect) arrives.
-        let job = match jobs.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => break,
-        };
-        let Ok(job) = job else { break };
-        let (status, body, then_shutdown) = route(shared, &job.request);
-        if done
-            .send(Completion {
-                conn: job.conn,
-                seq: job.seq,
-                status,
-                body: body.to_string(),
-                then_shutdown,
-            })
-            .is_err()
-        {
-            break;
-        }
-        shared.wake();
     }
 }
 
@@ -1320,65 +620,51 @@ fn canary_loop(shared: &Arc<Shared>, jobs: &mpsc::Receiver<CanaryJob>) {
     });
 }
 
-fn error_json(message: &str) -> JsonValue {
-    JsonValue::Object(vec![(
-        "error".into(),
-        JsonValue::String(message.to_owned()),
-    )])
-}
-
-fn route(shared: &Arc<Shared>, request: &Request) -> (u16, JsonValue, bool) {
-    match (request.method.as_str(), request.target.as_str()) {
-        ("GET", "/healthz") => (200, health_json(shared), false),
-        ("GET", "/metrics") => (200, shared.metrics.snapshot().to_json(), false),
-        ("POST", "/predict") => {
-            let (status, body) = predict(shared, &request.body);
-            (status, body, false)
-        }
-        ("POST", "/admin/reload") => {
-            let (status, body) = reload(shared);
-            (status, body, false)
-        }
-        ("POST", "/admin/metrics/reset") => {
-            // Empties the latency ring so post-reload (or post-warmup)
-            // percentiles are not polluted by earlier traffic; cumulative
-            // counters are deliberately left untouched.
-            shared.metrics.reset_latency_window();
+impl Routes for Shared {
+    fn route(&self, request: &Request) -> Reply {
+        match (request.method.as_str(), request.target.as_str()) {
+            ("GET", "/healthz") => Reply::json(200, health_json(self)),
+            ("GET", "/metrics") => Reply::json(200, self.metrics.snapshot().to_json()),
+            ("POST", "/predict") => predict(self, &request.body),
+            ("POST", "/admin/reload") => reload(self),
+            ("POST", "/admin/metrics/reset") => {
+                // Empties the latency ring so post-reload (or post-warmup)
+                // percentiles are not polluted by earlier traffic; cumulative
+                // counters are deliberately left untouched.
+                self.metrics.reset_latency_window();
+                Reply::json(200, status_json("latency window reset"))
+            }
+            ("POST", "/admin/shutdown") => {
+                Reply::json(200, status_json("shutting down")).then_shutdown()
+            }
             (
-                200,
-                JsonValue::Object(vec![(
-                    "status".into(),
-                    JsonValue::String("latency window reset".into()),
-                )]),
-                false,
-            )
+                _,
+                "/healthz"
+                | "/metrics"
+                | "/predict"
+                | "/admin/reload"
+                | "/admin/metrics/reset"
+                | "/admin/shutdown",
+            ) => Reply::error(405, &format!("method {} not allowed here", request.method)),
+            (_, target) => Reply::error(404, &format!("no route for `{target}`")),
         }
-        ("POST", "/admin/shutdown") => (
-            200,
-            JsonValue::Object(vec![(
-                "status".into(),
-                JsonValue::String("shutting down".into()),
-            )]),
-            true,
-        ),
-        (
-            _,
-            "/healthz"
-            | "/metrics"
-            | "/predict"
-            | "/admin/reload"
-            | "/admin/metrics/reset"
-            | "/admin/shutdown",
-        ) => (
-            405,
-            error_json(&format!("method {} not allowed here", request.method)),
-            false,
-        ),
-        (_, target) => (404, error_json(&format!("no route for `{target}`")), false),
+    }
+
+    fn metrics(&self) -> Option<&Metrics> {
+        Some(&self.metrics)
+    }
+
+    fn on_shutdown(&self) {
+        // Workers finish what is queued, then exit; new predicts get 503.
+        self.queue.shutdown();
     }
 }
 
-fn health_json(shared: &Arc<Shared>) -> JsonValue {
+fn status_json(status: &str) -> JsonValue {
+    JsonValue::Object(vec![("status".into(), JsonValue::String(status.into()))])
+}
+
+fn health_json(shared: &Shared) -> JsonValue {
     let model = shared.current_model();
     JsonValue::Object(vec![
         ("status".into(), JsonValue::String("ok".into())),
@@ -1468,14 +754,11 @@ fn parse_rows(body: &[u8], features: usize) -> Result<Vec<Vec<f32>>, String> {
     Ok(rows)
 }
 
-fn predict(shared: &Arc<Shared>, body: &[u8]) -> (u16, JsonValue) {
-    if shared.stopping.load(Ordering::SeqCst) {
-        return (503, error_json("server is shutting down"));
-    }
+fn predict(shared: &Shared, body: &[u8]) -> Reply {
     let model = shared.current_model();
     let rows = match parse_rows(body, model.features) {
         Ok(rows) => rows,
-        Err(message) => return (400, error_json(&message)),
+        Err(message) => return Reply::error(400, &message),
     };
     let n = rows.len();
     let (tx, rx) = mpsc::channel();
@@ -1494,10 +777,10 @@ fn predict(shared: &Arc<Shared>, body: &[u8]) -> (u16, JsonValue) {
     match shared.queue.push(pending) {
         Ok(()) => {}
         Err(crate::batcher::PushRejected::ShuttingDown(_)) => {
-            return (503, error_json("server is shutting down"));
+            return Reply::error(503, "server is shutting down");
         }
         Err(crate::batcher::PushRejected::Overloaded(_)) => {
-            return (503, error_json("server is overloaded (queue full); retry"));
+            return Reply::error(503, "server is overloaded (queue full); retry");
         }
     }
     shared.metrics.on_rows_accepted(n);
@@ -1508,7 +791,7 @@ fn predict(shared: &Arc<Shared>, body: &[u8]) -> (u16, JsonValue) {
                 let slot = result.row;
                 results[slot] = Some(result);
             }
-            Err(_) => return (500, error_json("timed out waiting for execution")),
+            Err(_) => return Reply::error(500, "timed out waiting for execution"),
         }
     }
     let mut outputs = Vec::with_capacity(n);
@@ -1527,10 +810,10 @@ fn predict(shared: &Arc<Shared>, body: &[u8]) -> (u16, JsonValue) {
                 classes.push(JsonValue::Number(output.class as f64));
                 batch_sizes.push(JsonValue::Number(result.batch_size as f64));
             }
-            Err(message) => return (500, error_json(&message)),
+            Err(message) => return Reply::error(500, &message),
         }
     }
-    (
+    Reply::json(
         200,
         JsonValue::Object(vec![
             ("model".into(), JsonValue::String(model.name.clone())),
@@ -1541,7 +824,7 @@ fn predict(shared: &Arc<Shared>, body: &[u8]) -> (u16, JsonValue) {
     )
 }
 
-fn reload(shared: &Arc<Shared>) -> (u16, JsonValue) {
+fn reload(shared: &Shared) -> Reply {
     match load_model(
         &shared.model_path,
         shared.input_shape_override.as_deref(),
@@ -1552,7 +835,7 @@ fn reload(shared: &Arc<Shared>) -> (u16, JsonValue) {
             *shared.model.write().expect("model lock poisoned") = Arc::new(model);
             let generation = shared.generation.fetch_add(1, Ordering::AcqRel) + 1;
             shared.metrics.on_reload();
-            (
+            Reply::json(
                 200,
                 JsonValue::Object(vec![
                     ("status".into(), JsonValue::String("reloaded".into())),
@@ -1564,7 +847,7 @@ fn reload(shared: &Arc<Shared>) -> (u16, JsonValue) {
                 ]),
             )
         }
-        Err(e) => (500, error_json(&format!("reload failed: {e}"))),
+        Err(e) => Reply::error(500, &format!("reload failed: {e}")),
     }
 }
 

@@ -11,7 +11,7 @@ use fitact_serve::{ServeConfig, ServeError, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -120,6 +120,38 @@ fn malformed_http_framing_is_answered_with_400() {
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();
     assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    server.shutdown();
+    server.join();
+}
+
+/// A client may half-close (FIN) right after its request, as the campaign
+/// workers' `http_call` does: the request is still answered, even when the
+/// FIN arrives in the same read as the request bytes.
+#[test]
+fn requests_followed_by_a_half_close_are_answered() {
+    // Its own artifact file: rewriting one another test has mapped would
+    // pull the pages out from under that server.
+    let path = temp_model("half_close.fitact");
+    tiny_artifact().save(&path).unwrap();
+    let server = Server::start(&path, &ServeConfig::default()).unwrap();
+    let addr = server.addr();
+    let mut answered = 0;
+    for _ in 0..20 {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut response = String::new();
+        let _ = stream.read_to_string(&mut response);
+        if response.starts_with("HTTP/1.1 200") {
+            answered += 1;
+        }
+    }
+    assert_eq!(answered, 20, "every half-closed request must be answered");
     server.shutdown();
     server.join();
 }
