@@ -17,7 +17,20 @@
 //! rules evaluate trials from cached clean layer activations
 //! ([`CheckpointCache`]): the fault-free forward runs once per campaign and
 //! each trial re-executes only the layers downstream of its faults,
-//! bit-identically to the full-forward engine.
+//! bit-identically to the full-forward engine. Threads pull trials one at a
+//! time from a shared counter and each point lands at its trial's index.
+//!
+//! # Determinism and resume
+//!
+//! A trial is a pure function of `(seed, stratum, index)` and the restored
+//! parameters. Everything else a statistical campaign decides — each
+//! round's plan, when a round is complete, when to stop, the final report —
+//! is decided by one [`CampaignDriver`] from the merged pools alone. The
+//! in-process loop ([`Campaign::run_until_resumable`]) and the distributed
+//! coordinator both feed trial points into a driver, so their reports are
+//! bit-identical. Resume rebuilds the driver from checkpointed pools: it
+//! replays the rounds they complete and refuses pools holding a trial the
+//! configuration has not scheduled.
 
 use crate::checkpoint::{CheckpointCache, ResumePlan};
 use crate::map::MemoryMap;
@@ -30,7 +43,11 @@ use crate::strata::{StratifiedSampler, StratumSpec};
 use crate::FaultError;
 use fitact_nn::metrics::SampleStats;
 use fitact_nn::{Network, NetworkSnapshot};
+use fitact_tensor::matmul::serial_scope;
 use fitact_tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Identifies the per-trial RNG stream derivation this build uses.
 ///
@@ -517,9 +534,9 @@ pub struct TrialSpec {
 /// within one trial of equal. Returns an empty plan once the budget is
 /// exhausted.
 ///
-/// This is the **single** scheduling definition: the serial `run_until`
-/// loop, the resumable variant and the distributed coordinator all plan
-/// rounds through this function, which is what pins their reports
+/// This is the **single** scheduling definition: [`CampaignDriver`], the
+/// round loop of in-process and distributed campaigns alike, plans every
+/// round through this function, which is what pins their reports
 /// bit-identical to each other.
 pub fn plan_round(config: &StatCampaignConfig, counts: &[usize]) -> Vec<TrialSpec> {
     let total_so_far: usize = counts.iter().sum();
@@ -775,77 +792,270 @@ pub fn stopping_decision(
     }
 }
 
-/// Builds the final [`CampaignReport`] from merged per-stratum pools.
+/// The one round loop of a statistical campaign.
 ///
-/// The pools must be index-contiguous (every scheduled trial completed);
-/// ascending index order then reproduces the serial campaign's trial order
-/// exactly, so a report assembled from distributed results is bit-identical
-/// to the single-process one.
-pub fn assemble_report(
-    config: &StatCampaignConfig,
-    model_name: &str,
+/// The driver holds the configuration, the fault-free baseline, the stratum
+/// populations and one [`StratumPool`] per stratum. It plans each round
+/// with [`plan_round_allocated`], closes the round once the pools hold all
+/// of its trials, applies [`stopping_decision`] and assembles the final
+/// [`CampaignReport`]. It never runs a trial itself:
+/// [`Campaign::run_until_resumable`] feeds it from in-process threads and
+/// the distributed coordinator from leased work units, so both paths plan,
+/// stop, refuse bad input and report identically.
+///
+/// Every decision is a pure function of the merged pools, so a driver
+/// rebuilt from an interrupted campaign's pools replays the rounds they
+/// complete and stands exactly where the interrupted driver stood.
+#[derive(Debug)]
+pub struct CampaignDriver {
+    config: StatCampaignConfig,
+    model_name: String,
     fault_free_accuracy: f32,
-    sampler: &StratifiedSampler,
-    pools: &[StratumPool],
+    sampler: StratifiedSampler,
+    z: f64,
+    populations: Vec<u64>,
+    pools: Vec<StratumPool>,
+    /// Trials scheduled per stratum by the closed rounds.
+    counts: Vec<usize>,
+    /// Closed rounds, which is also the index of the open round.
     rounds: usize,
+    /// The open round's plan; empty once the campaign is finished.
+    open: Vec<TrialSpec>,
     converged: bool,
-) -> CampaignReport {
-    let z = z_for_confidence(config.confidence);
-    let populations: Vec<u64> = (0..sampler.num_strata())
-        .map(|s| sampler.population(s))
-        .collect();
-    let weights = population_weights(&populations);
-    let strata = pools
-        .iter()
-        .enumerate()
-        .map(|(stratum, pool)| {
-            let accuracies = pool.accuracies();
-            let mut masked = 0usize;
-            let mut tolerable = 0usize;
-            let mut critical = 0usize;
-            for &a in &accuracies {
-                match TrialOutcome::classify(fault_free_accuracy, a, config.critical_threshold) {
-                    TrialOutcome::Masked => masked += 1,
-                    TrialOutcome::TolerableSdc => tolerable += 1,
-                    TrialOutcome::CriticalSdc => critical += 1,
+}
+
+impl CampaignDriver {
+    /// Starts a campaign over `sampler`'s strata, or resumes one from the
+    /// pools of an earlier run.
+    ///
+    /// Resume trusts nothing but the trial points: it replays every round
+    /// the pools complete, re-deriving each plan and stopping decision, and
+    /// leaves the driver at the first round they do not complete.
+    ///
+    /// # Errors
+    ///
+    /// Configuration errors ([`StatCampaignConfig::validate`]), and
+    /// [`FaultError::InvalidConfig`] for resume pools whose stratum count
+    /// differs from `sampler`'s or that hold a trial outside the replayed
+    /// rounds and the open round: a checkpoint of another configuration.
+    pub fn new(
+        config: &StatCampaignConfig,
+        model_name: &str,
+        fault_free_accuracy: f32,
+        sampler: &StratifiedSampler,
+        resume: Option<Vec<StratumPool>>,
+    ) -> Result<Self, FaultError> {
+        config.validate()?;
+        let num_strata = sampler.num_strata();
+        let pools = resume.unwrap_or_else(|| vec![StratumPool::new(); num_strata]);
+        if pools.len() != num_strata {
+            return Err(FaultError::InvalidConfig(format!(
+                "resume state has {} strata, configuration has {num_strata}",
+                pools.len()
+            )));
+        }
+        let mut driver = CampaignDriver {
+            config: config.clone(),
+            model_name: model_name.to_owned(),
+            fault_free_accuracy,
+            sampler: sampler.clone(),
+            z: z_for_confidence(config.confidence),
+            populations: (0..num_strata).map(|s| sampler.population(s)).collect(),
+            pools,
+            counts: vec![0; num_strata],
+            rounds: 0,
+            open: Vec::new(),
+            converged: false,
+        };
+        driver.open = driver.plan();
+        driver.advance();
+        for (stratum, pool) in driver.pools.iter().enumerate() {
+            let scheduled = driver.open_trials(stratum).end;
+            if pool.iter_below(scheduled as u64).count() != pool.len() {
+                return Err(FaultError::InvalidConfig(format!(
+                    "resume state holds trials of stratum {stratum} at or above index \
+                     {scheduled}, which the configuration has not scheduled by round {}; was \
+                     the checkpoint written with a different configuration?",
+                    driver.rounds
+                )));
+            }
+        }
+        Ok(driver)
+    }
+
+    fn plan(&self) -> Vec<TrialSpec> {
+        plan_round_allocated(
+            &self.config,
+            self.z,
+            self.fault_free_accuracy,
+            &self.populations,
+            &self.pools,
+            &self.counts,
+        )
+    }
+
+    /// Closes the open round while the pools hold all of its trials: counts
+    /// it, applies the stopping rule and plans the next round.
+    fn advance(&mut self) {
+        while !self.open.is_empty()
+            && self
+                .open
+                .iter()
+                .all(|t| self.pools[t.stratum].contains(t.index as u64))
+        {
+            for trial in &self.open {
+                self.counts[trial.stratum] += 1;
+            }
+            self.rounds += 1;
+            let decision = stopping_decision(
+                &self.config,
+                self.z,
+                self.fault_free_accuracy,
+                &self.populations,
+                &self.pools,
+                &self.counts,
+            );
+            self.converged = decision.converged;
+            self.open = if decision.converged || decision.exhausted {
+                Vec::new()
+            } else {
+                self.plan()
+            };
+        }
+    }
+
+    /// Merges the point of one trial and returns whether it was new. A
+    /// point that completes the open round closes it.
+    ///
+    /// # Errors
+    ///
+    /// [`FaultError::InvalidConfig`] for a trial that is neither in a
+    /// closed round nor in the open one, and [`FaultError::TrialConflict`]
+    /// for a point that differs from the one already merged for its trial.
+    /// A bit-identical duplicate is `Ok(false)`.
+    pub fn merge(&mut self, trial: TrialSpec, point: TrialPoint) -> Result<bool, FaultError> {
+        let closed = self
+            .counts
+            .get(trial.stratum)
+            .is_some_and(|&count| trial.index < count);
+        if !closed && !self.open.contains(&trial) {
+            return Err(FaultError::InvalidConfig(format!(
+                "trial {} of stratum {} is not scheduled by round {}",
+                trial.index, trial.stratum, self.rounds
+            )));
+        }
+        let fresh = self.pools[trial.stratum].insert(trial.index as u64, point)?;
+        if fresh {
+            self.advance();
+        }
+        Ok(fresh)
+    }
+
+    /// Whether the campaign converged or spent its budget.
+    pub fn is_finished(&self) -> bool {
+        self.open.is_empty()
+    }
+
+    /// Whether the ε target was reached (so far).
+    pub fn converged(&self) -> bool {
+        self.converged
+    }
+
+    /// Closed rounds, which is also the index of the open round.
+    pub fn round(&self) -> usize {
+        self.rounds
+    }
+
+    /// The open round's trials in plan order; empty once finished.
+    pub fn open_round(&self) -> &[TrialSpec] {
+        &self.open
+    }
+
+    /// The open round's trial indices in `stratum`: every plan gives a
+    /// stratum consecutive indices, starting where its closed rounds end.
+    pub fn open_trials(&self, stratum: usize) -> std::ops::Range<usize> {
+        let start = self.counts[stratum];
+        start..start + self.open.iter().filter(|t| t.stratum == stratum).count()
+    }
+
+    /// The merged pools, one per stratum.
+    pub fn pools(&self) -> &[StratumPool] {
+        &self.pools
+    }
+
+    /// The merged pools and closed rounds, ready to checkpoint.
+    pub fn progress(&self) -> CampaignProgress {
+        CampaignProgress {
+            pools: self.pools.clone(),
+            rounds: self.rounds,
+        }
+    }
+
+    /// The final report, once the campaign is finished.
+    ///
+    /// The pools are then index-contiguous, so ascending index order is the
+    /// serial campaign's trial order, however the points arrived.
+    pub fn report(&self) -> Option<CampaignReport> {
+        if !self.is_finished() {
+            return None;
+        }
+        let weights = population_weights(&self.populations);
+        let strata = self
+            .pools
+            .iter()
+            .enumerate()
+            .map(|(stratum, pool)| {
+                let accuracies = pool.accuracies();
+                let mut masked = 0usize;
+                let mut tolerable = 0usize;
+                let mut critical = 0usize;
+                for &a in &accuracies {
+                    match TrialOutcome::classify(
+                        self.fault_free_accuracy,
+                        a,
+                        self.config.critical_threshold,
+                    ) {
+                        TrialOutcome::Masked => masked += 1,
+                        TrialOutcome::TolerableSdc => tolerable += 1,
+                        TrialOutcome::CriticalSdc => critical += 1,
+                    }
                 }
-            }
-            let n = accuracies.len() as u64;
-            StratumReport {
-                label: sampler.specs()[stratum].label.clone(),
-                population_bits: sampler.population(stratum),
-                weight: weights[stratum],
-                accuracies,
-                masked,
-                tolerable,
-                critical,
-                total_faults: pool.total_faults(),
-                critical_ci: WilsonInterval::new(critical as u64, n, z),
-                sdc_ci: WilsonInterval::new((tolerable + critical) as u64, n, z),
-            }
+                let n = accuracies.len() as u64;
+                StratumReport {
+                    label: self.sampler.specs()[stratum].label.clone(),
+                    population_bits: self.populations[stratum],
+                    weight: weights[stratum],
+                    accuracies,
+                    masked,
+                    tolerable,
+                    critical,
+                    total_faults: pool.total_faults(),
+                    critical_ci: WilsonInterval::new(critical as u64, n, self.z),
+                    sdc_ci: WilsonInterval::new((tolerable + critical) as u64, n, self.z),
+                }
+            })
+            .collect();
+        Some(CampaignReport {
+            fault_free_accuracy: self.fault_free_accuracy,
+            fault_rate: self.config.fault_rate,
+            model: self.model_name.clone(),
+            confidence: self.config.confidence,
+            epsilon: self.config.epsilon,
+            critical_threshold: self.config.critical_threshold,
+            rounds: self.rounds,
+            converged: self.converged,
+            allocation: self.config.allocation,
+            strata,
         })
-        .collect();
-    CampaignReport {
-        fault_free_accuracy,
-        fault_rate: config.fault_rate,
-        model: model_name.to_owned(),
-        confidence: config.confidence,
-        epsilon: config.epsilon,
-        critical_threshold: config.critical_threshold,
-        rounds,
-        converged,
-        allocation: config.allocation,
-        strata,
     }
 }
 
 /// Partial state of a statistical campaign: one mergeable pool of completed
 /// trials per stratum, plus the number of completed rounds.
 ///
-/// This is what a campaign checkpoint persists and what the distributed
-/// coordinator accumulates. Scheduling is deterministic, so the pools alone
-/// are enough to resume: replaying [`plan_round`] over them re-derives every
-/// past stopping decision and continues exactly where execution stopped.
+/// This is what a campaign checkpoint persists. Scheduling is deterministic,
+/// so the pools alone are enough to resume: [`CampaignDriver::new`] replays
+/// the rounds they complete and continues exactly where execution stopped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignProgress {
     /// One pool per stratum, in configured stratum order.
@@ -855,14 +1065,6 @@ pub struct CampaignProgress {
 }
 
 impl CampaignProgress {
-    /// Empty progress for `num_strata` strata.
-    pub fn empty(num_strata: usize) -> Self {
-        CampaignProgress {
-            pools: vec![StratumPool::new(); num_strata],
-            rounds: 0,
-        }
-    }
-
     /// Total completed trials across all strata.
     pub fn total_trials(&self) -> usize {
         self.pools.iter().map(StratumPool::len).sum()
@@ -994,31 +1196,6 @@ impl<'a> Campaign<'a> {
         self.engine
     }
 
-    /// Establishes the campaign baseline once: under the resumed engine, one
-    /// fault-free forward both snapshots the layer-boundary checkpoints and
-    /// yields the baseline accuracy (and clean per-sample labels); under the
-    /// full-forward engine the baseline is a plain evaluation.
-    fn prepare_baseline(
-        &mut self,
-        batch_size: usize,
-    ) -> Result<(Option<(CheckpointCache, ResumePlan)>, f32), FaultError> {
-        match self.engine {
-            TrialEngine::CheckpointResumed => {
-                let plan = ResumePlan::of_network(self.network);
-                let cache =
-                    CheckpointCache::capture(self.network, self.inputs, self.targets, batch_size)?;
-                let fault_free = cache.fault_free_accuracy();
-                Ok((Some((cache, plan)), fault_free))
-            }
-            TrialEngine::FullForward => {
-                let fault_free = self
-                    .network
-                    .evaluate(self.inputs, self.targets, batch_size)?;
-                Ok((None, fault_free))
-            }
-        }
-    }
-
     /// Runs the fixed-count campaign: `config.trials` times, sample faults at
     /// `config.fault_rate`, inject them, evaluate accuracy on the evaluation
     /// set, and restore the original parameters.
@@ -1064,34 +1241,35 @@ impl<'a> Campaign<'a> {
     ) -> Result<CampaignResult, FaultError> {
         config.validate()?;
         let sampler = StratifiedSampler::uniform(&self.map)?;
-        let snapshot = self.network.snapshot_full();
-        let (resume, fault_free_accuracy) = self.prepare_baseline(config.batch_size)?;
-        let specs: Vec<TrialSpec> = (0..config.trials)
-            .map(|index| TrialSpec { stratum: 0, index })
-            .collect();
-        let mut workers = spawn_worker_networks(self.network, threads, specs.len());
-        let records = execute_trials(
+        let mut executor = TrialExecutor::new(
             self.network,
-            &mut workers,
-            &snapshot,
             self.inputs,
             self.targets,
-            &sampler,
-            &TransientBitFlip,
-            config.fault_rate,
             config.batch_size,
-            config.seed,
-            resume.as_ref(),
-            &specs,
+            self.engine,
+            threads.min(config.trials),
         )?;
-        let accuracies: Vec<f32> = records.iter().map(|r| r.accuracy).collect();
-        let total_faults = records.iter().map(|r| r.faults).sum();
+        let trials: Vec<TrialSpec> = (0..config.trials)
+            .map(|index| TrialSpec { stratum: 0, index })
+            .collect();
+        let job = TrialJob {
+            sampler: &sampler,
+            model: &TransientBitFlip,
+            fault_rate: config.fault_rate,
+            seed: config.seed,
+            batch_size: config.batch_size,
+            inputs: self.inputs,
+            targets: self.targets,
+        };
+        let points = executor.run(self.network, &job, &trials)?;
+        let accuracies: Vec<f32> = points.iter().map(|p| p.accuracy).collect();
+        let total_faults = points.iter().map(|p| p.faults).sum();
         let stats = SampleStats::from_sample(&accuracies)
             .expect("trials is non-zero, so the sample is non-empty");
         Ok(CampaignResult {
             accuracies,
             stats,
-            fault_free_accuracy,
+            fault_free_accuracy: executor.fault_free_accuracy,
             total_faults,
             fault_rate: config.fault_rate,
         })
@@ -1188,21 +1366,19 @@ impl<'a> Campaign<'a> {
     /// progress comes back as [`RunOutcome::Interrupted`], ready to be
     /// checkpointed.
     ///
-    /// Passing previously captured pools as `resume` continues that campaign:
-    /// scheduling is deterministic, so the loop replays [`plan_round`] from
-    /// round zero, skips every trial already present in the pools, and
-    /// re-derives each past stopping decision instead of trusting the
-    /// checkpoint — the resumed campaign is **bit-identical** to one that
-    /// never stopped (pinned by the `checkpoint_resume` tests). Pools holding
-    /// trials the configuration never schedules (a checkpoint from a
-    /// different configuration) are a typed [`FaultError::InvalidConfig`].
+    /// Passing previously captured pools as `resume` continues that campaign
+    /// through [`CampaignDriver::new`]: it replays every round the pools
+    /// complete and re-derives each past stopping decision instead of
+    /// trusting the checkpoint, and only the open round's missing trials run
+    /// — the resumed campaign is **bit-identical** to one that never stopped
+    /// (pinned by the `checkpoint_resume` tests). Pools holding trials the
+    /// configuration has not scheduled (a checkpoint from a different
+    /// configuration) are a typed [`FaultError::InvalidConfig`].
     ///
     /// # Errors
     ///
     /// As [`Campaign::run_until`], plus [`FaultError::InvalidConfig`] for a
-    /// resume state inconsistent with `config` and
-    /// [`FaultError::TrialConflict`] if an executed trial disagrees with a
-    /// resumed point.
+    /// resume state inconsistent with `config`.
     pub fn run_until_resumable(
         &mut self,
         config: &StatCampaignConfig,
@@ -1214,123 +1390,51 @@ impl<'a> Campaign<'a> {
         config.validate()?;
         check_model_strata(model, config)?;
         let sampler = StratifiedSampler::new(&self.map, &config.strata)?;
-        let z = z_for_confidence(config.confidence);
-        let snapshot = self.network.snapshot_full();
-        let (resume_cache, fault_free_accuracy) = self.prepare_baseline(config.batch_size)?;
-
-        let num_strata = sampler.num_strata();
-        let mut pools = match resume {
-            Some(pools) => {
-                if pools.len() != num_strata {
-                    return Err(FaultError::InvalidConfig(format!(
-                        "resume state has {} strata, configuration has {num_strata}",
-                        pools.len()
-                    )));
-                }
-                pools
-            }
-            None => vec![StratumPool::new(); num_strata],
+        let mut executor = TrialExecutor::new(
+            self.network,
+            self.inputs,
+            self.targets,
+            config.batch_size,
+            self.engine,
+            threads.min(config.round_trials * sampler.num_strata()),
+        )?;
+        let mut driver = CampaignDriver::new(
+            config,
+            model.name(),
+            executor.fault_free_accuracy,
+            &sampler,
+            resume,
+        )?;
+        let job = TrialJob {
+            sampler: &sampler,
+            model,
+            fault_rate: config.fault_rate,
+            seed: config.seed,
+            batch_size: config.batch_size,
+            inputs: self.inputs,
+            targets: self.targets,
         };
-        let round_size = config.round_trials * num_strata;
-        // Worker clones are expensive for large models; create them once and
-        // reuse them across every round (each trial restores the snapshot, so
-        // a worker network is interchangeable between rounds).
-        let mut workers = spawn_worker_networks(self.network, threads, round_size);
-        let populations: Vec<u64> = (0..num_strata).map(|s| sampler.population(s)).collect();
-        let mut counts = vec![0usize; num_strata];
-        let mut rounds = 0usize;
-        let mut converged = false;
-        loop {
-            let specs = plan_round_allocated(
-                config,
-                z,
-                fault_free_accuracy,
-                &populations,
-                &pools,
-                &counts,
-            );
-            if specs.is_empty() {
-                // The budget ran out exactly at a round boundary.
-                break;
-            }
-            let missing: Vec<TrialSpec> = specs
+        while !driver.is_finished() {
+            let missing: Vec<TrialSpec> = driver
+                .open_round()
                 .iter()
                 .copied()
-                .filter(|s| !pools[s.stratum].contains(s.index as u64))
+                .filter(|t| !driver.pools()[t.stratum].contains(t.index as u64))
                 .collect();
-            let fresh = !missing.is_empty();
-            if fresh {
-                let records = execute_trials(
-                    self.network,
-                    &mut workers,
-                    &snapshot,
-                    self.inputs,
-                    self.targets,
-                    &sampler,
-                    model,
-                    config.fault_rate,
-                    config.batch_size,
-                    config.seed,
-                    resume_cache.as_ref(),
-                    &missing,
-                )?;
-                for (spec, point) in missing.iter().zip(records) {
-                    pools[spec.stratum].insert(spec.index as u64, point)?;
-                }
+            let points = executor.run(self.network, &job, &missing)?;
+            for (trial, point) in missing.into_iter().zip(points) {
+                driver.merge(trial, point)?;
             }
-            for spec in &specs {
-                counts[spec.stratum] += 1;
-            }
-            rounds += 1;
-
-            let decision = stopping_decision(
-                config,
-                z,
-                fault_free_accuracy,
-                &populations,
-                &pools,
-                &counts,
-            );
-            if decision.converged {
-                converged = true;
-                break;
-            }
-            if decision.exhausted {
-                break;
-            }
-            if fresh {
-                let progress = CampaignProgress {
-                    pools: pools.clone(),
-                    rounds,
-                };
+            if !driver.is_finished() {
+                let progress = driver.progress();
                 if observer(&progress) == CampaignControl::Stop {
                     return Ok(RunOutcome::Interrupted(progress));
                 }
             }
         }
-
-        // Every completed trial must have been scheduled: leftovers mean the
-        // resume state came from a different configuration (larger budget,
-        // different round size, …) and would silently skew the report.
-        for (stratum, (pool, &count)) in pools.iter().zip(&counts).enumerate() {
-            if pool.len() != count {
-                return Err(FaultError::InvalidConfig(format!(
-                    "resume state holds {} trials for stratum {stratum} but the configuration \
-                     schedules {count}; was the checkpoint written with a different configuration?",
-                    pool.len()
-                )));
-            }
-        }
-
-        Ok(RunOutcome::Finished(assemble_report(
-            config,
-            model.name(),
-            fault_free_accuracy,
-            &sampler,
-            &pools,
-            rounds,
-            converged,
-        )))
+        Ok(RunOutcome::Finished(
+            driver.report().expect("the driver is finished"),
+        ))
     }
 }
 
@@ -1352,10 +1456,7 @@ pub struct UnitRunner {
     targets: Vec<usize>,
     config: StatCampaignConfig,
     sampler: StratifiedSampler,
-    snapshot: NetworkSnapshot,
-    resume: Option<(CheckpointCache, ResumePlan)>,
-    fault_free_accuracy: f32,
-    workers: Vec<Network>,
+    executor: TrialExecutor,
 }
 
 impl UnitRunner {
@@ -1380,22 +1481,21 @@ impl UnitRunner {
             return Err(FaultError::EmptyMemoryMap);
         }
         let sampler = StratifiedSampler::new(&map, &config.strata)?;
-        let snapshot = network.snapshot_full();
-        let plan = ResumePlan::of_network(&mut network);
-        let cache = CheckpointCache::capture(&mut network, &inputs, &targets, config.batch_size)?;
-        let fault_free_accuracy = cache.fault_free_accuracy();
-        let unit_cap = config.round_trials.max(1) * sampler.num_strata();
-        let workers = spawn_worker_networks(&network, threads, unit_cap);
+        let executor = TrialExecutor::new(
+            &mut network,
+            &inputs,
+            &targets,
+            config.batch_size,
+            TrialEngine::CheckpointResumed,
+            threads.min(config.round_trials * sampler.num_strata()),
+        )?;
         Ok(UnitRunner {
             network,
             inputs,
             targets,
             config: config.clone(),
             sampler,
-            snapshot,
-            resume: Some((cache, plan)),
-            fault_free_accuracy,
-            workers,
+            executor,
         })
     }
 
@@ -1403,7 +1503,7 @@ impl UnitRunner {
     /// loaded the same artifact, and verified by the coordinator before any
     /// unit result is merged.
     pub fn fault_free_accuracy(&self) -> f32 {
-        self.fault_free_accuracy
+        self.executor.fault_free_accuracy
     }
 
     /// Number of strata the runner resolved.
@@ -1438,23 +1538,19 @@ impl UnitRunner {
                 self.sampler.num_strata()
             )));
         }
-        let specs: Vec<TrialSpec> = (start..start + count)
+        let trials: Vec<TrialSpec> = (start..start + count)
             .map(|index| TrialSpec { stratum, index })
             .collect();
-        execute_trials(
-            &mut self.network,
-            &mut self.workers,
-            &self.snapshot,
-            &self.inputs,
-            &self.targets,
-            &self.sampler,
+        let job = TrialJob {
+            sampler: &self.sampler,
             model,
-            self.config.fault_rate,
-            self.config.batch_size,
-            self.config.seed,
-            self.resume.as_ref(),
-            &specs,
-        )
+            fault_rate: self.config.fault_rate,
+            seed: self.config.seed,
+            batch_size: self.config.batch_size,
+            inputs: &self.inputs,
+            targets: &self.targets,
+        };
+        self.executor.run(&mut self.network, &job, &trials)
     }
 }
 
@@ -1464,178 +1560,179 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `specs` (in order) across `threads` workers and returns one record
-/// per spec, independent of the thread count.
-///
-/// Clones the worker networks a campaign needs for `threads` threads over at
-/// most `max_batch` trials per batch: an empty vector for the serial path.
-///
-/// Workers are created once per campaign and reused across every trial batch
-/// — cloning a large model per round would dominate the campaign's cost.
-fn spawn_worker_networks(network: &Network, threads: usize, max_batch: usize) -> Vec<Network> {
-    let workers = threads.clamp(1, max_batch.max(1));
-    if workers <= 1 {
-        Vec::new()
-    } else {
-        (0..workers).map(|_| network.clone()).collect()
-    }
+/// What every trial of one campaign reads: the fault stream's parameters
+/// and the evaluation set.
+struct TrialJob<'a> {
+    sampler: &'a StratifiedSampler,
+    model: &'a dyn FaultModel,
+    fault_rate: f64,
+    seed: u64,
+    batch_size: usize,
+    inputs: &'a Tensor,
+    targets: &'a [usize],
 }
 
-/// Workers each own a private clone of the network (evaluation mutates layer
-/// caches) and take a contiguous range of specs; record slots are disjoint
-/// `split_at_mut` chunks, so workers never synchronise until the final join.
-/// An empty `workers` slice selects the serial path on `network` itself.
-///
-/// `resume` carries the campaign's shared read-only [`CheckpointCache`] and
-/// its site→layer [`ResumePlan`]; `None` selects the full-forward engine.
-#[allow(clippy::too_many_arguments)]
-fn execute_trials(
-    network: &mut Network,
-    workers: &mut [Network],
-    snapshot: &NetworkSnapshot,
-    inputs: &Tensor,
-    targets: &[usize],
-    sampler: &StratifiedSampler,
-    model: &dyn FaultModel,
-    fault_rate: f64,
-    batch_size: usize,
-    seed: u64,
-    resume: Option<&(CheckpointCache, ResumePlan)>,
-    specs: &[TrialSpec],
-) -> Result<Vec<TrialPoint>, FaultError> {
-    let mut outcomes: Vec<Option<Result<TrialPoint, FaultError>>> =
-        specs.iter().map(|_| None).collect();
-    if workers.len() <= 1 || specs.len() <= 1 {
-        run_trials(
-            network,
+/// The trial executor behind [`Campaign`] and [`UnitRunner`]: the parameter
+/// snapshot every trial restores, the fault-free baseline and one network
+/// clone per extra thread, all made once per campaign or runner.
+#[derive(Debug)]
+struct TrialExecutor {
+    snapshot: NetworkSnapshot,
+    /// The clean layer-boundary activations and site→layer plan of the
+    /// resumed engine; `None` selects full forwards.
+    resume: Option<(CheckpointCache, ResumePlan)>,
+    fault_free_accuracy: f32,
+    /// Networks for the threads beyond the caller's, which runs trials on
+    /// the network it passes to [`TrialExecutor::run`].
+    workers: Vec<Network>,
+}
+
+impl TrialExecutor {
+    /// Snapshots `network`, establishes the baseline with one fault-free
+    /// forward (which under the resumed engine also captures the
+    /// layer-boundary checkpoints) and clones `threads - 1` workers.
+    fn new(
+        network: &mut Network,
+        inputs: &Tensor,
+        targets: &[usize],
+        batch_size: usize,
+        engine: TrialEngine,
+        threads: usize,
+    ) -> Result<Self, FaultError> {
+        let snapshot = network.snapshot_full();
+        let (resume, fault_free_accuracy) = match engine {
+            TrialEngine::CheckpointResumed => {
+                let plan = ResumePlan::of_network(network);
+                let cache = CheckpointCache::capture(network, inputs, targets, batch_size)?;
+                let fault_free = cache.fault_free_accuracy();
+                (Some((cache, plan)), fault_free)
+            }
+            TrialEngine::FullForward => (None, network.evaluate(inputs, targets, batch_size)?),
+        };
+        let workers = (1..threads).map(|_| network.clone()).collect();
+        Ok(TrialExecutor {
             snapshot,
-            inputs,
-            targets,
-            sampler,
-            model,
-            fault_rate,
-            batch_size,
-            seed,
             resume,
-            specs,
-            &mut outcomes,
-        );
-        // `run_trials` restores after every trial, so the borrowed network
-        // ends the batch in its pre-campaign state.
-    } else {
-        let per_worker = specs.len().div_ceil(workers.len());
-        std::thread::scope(|scope| {
-            let mut remaining_outcomes = outcomes.as_mut_slice();
-            let mut remaining_specs = specs;
-            let mut remaining_workers = &mut workers[..];
-            while !remaining_specs.is_empty() {
-                let count = per_worker.min(remaining_specs.len());
-                let (chunk_specs, rest_specs) = remaining_specs.split_at(count);
-                let (chunk, rest) = remaining_outcomes.split_at_mut(count);
-                let (worker, rest_workers) = remaining_workers
-                    .split_first_mut()
-                    .expect("per-worker chunking never outruns the worker pool");
-                remaining_specs = rest_specs;
-                remaining_outcomes = rest;
-                remaining_workers = rest_workers;
-                scope.spawn(move || {
-                    // One campaign worker already occupies this core; nested
-                    // matmul fan-out would oversubscribe the machine (results
-                    // are thread-count-invariant either way).
-                    fitact_tensor::matmul::serial_scope(|| {
-                        run_trials(
-                            worker,
-                            snapshot,
-                            inputs,
-                            targets,
-                            sampler,
-                            model,
-                            fault_rate,
-                            batch_size,
-                            seed,
-                            resume,
-                            chunk_specs,
-                            chunk,
-                        );
-                    });
-                });
+            fault_free_accuracy,
+            workers,
+        })
+    }
+
+    /// Runs `trials` on `network` and the worker clones and returns their
+    /// points in `trials` order.
+    ///
+    /// Each thread pulls the next trial from a shared counter, so a thread
+    /// that drew cheap trials runs more of them. A point lands at its
+    /// trial's position, and a trial depends only on its identity and the
+    /// restored parameters, so neither the thread count nor the pull order
+    /// changes a bit.
+    fn run(
+        &mut self,
+        network: &mut Network,
+        job: &TrialJob<'_>,
+        trials: &[TrialSpec],
+    ) -> Result<Vec<TrialPoint>, FaultError> {
+        // The counter only hands out indices; points travel back through the
+        // joins, so `Relaxed` suffices.
+        let next = AtomicUsize::new(0);
+        let (snapshot, resume) = (&self.snapshot, self.resume.as_ref());
+        let pull = |network: &mut Network| {
+            let mut points = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&trial) = trials.get(i) else {
+                    return points;
+                };
+                points.push((i, run_trial(network, snapshot, resume, job, trial)));
             }
-        });
+        };
+        let extra = self.workers.len().min(trials.len().saturating_sub(1));
+        let mut points = if extra == 0 {
+            pull(network)
+        } else {
+            // One campaign thread already occupies each core; nested matmul
+            // fan-out would oversubscribe the machine (results are
+            // thread-count-invariant either way).
+            std::thread::scope(|scope| {
+                let pull = &pull;
+                let threads: Vec<_> = self.workers[..extra]
+                    .iter_mut()
+                    .map(|worker| scope.spawn(move || serial_scope(|| pull(worker))))
+                    .collect();
+                let mut points = serial_scope(|| pull(network));
+                for thread in threads {
+                    points.extend(
+                        thread
+                            .join()
+                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                    );
+                }
+                points
+            })
+        };
+        points.sort_unstable_by_key(|&(i, _)| i);
+        points.into_iter().map(|(_, point)| point).collect()
     }
-    let mut records = Vec::with_capacity(specs.len());
-    for outcome in outcomes {
-        records.push(outcome.expect("every spec is covered by exactly one worker")?);
-    }
-    Ok(records)
 }
 
-/// Executes the given trials on `network`, writing one record per spec.
+/// Runs one trial on `network` and restores it.
 ///
-/// Each trial seeds its own stream from `(seed, stratum, index)` and consumes
+/// The trial seeds its own stream from `(seed, stratum, index)` and consumes
 /// it identically under both engines (site sampling and injection happen
-/// before evaluation either way), so the result of a trial depends only on
-/// its identity — never on which worker ran it, what ran before it on the
-/// same network (the snapshot restore guarantees identical starting
-/// parameters), or which engine evaluated it.
-#[allow(clippy::too_many_arguments)]
-fn run_trials(
+/// before evaluation either way), so its point depends only on its identity
+/// — never on which thread ran it, what ran before it on the same network
+/// (the snapshot restore guarantees identical starting parameters), or which
+/// engine evaluated it.
+fn run_trial(
     network: &mut Network,
     snapshot: &NetworkSnapshot,
-    inputs: &Tensor,
-    targets: &[usize],
-    sampler: &StratifiedSampler,
-    model: &dyn FaultModel,
-    fault_rate: f64,
-    batch_size: usize,
-    seed: u64,
     resume: Option<&(CheckpointCache, ResumePlan)>,
-    specs: &[TrialSpec],
-    outcomes: &mut [Option<Result<TrialPoint, FaultError>>],
-) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    for (spec, outcome) in specs.iter().zip(outcomes.iter_mut()) {
-        let mut rng = StdRng::seed_from_u64(trial_stream_seed(seed, spec.stratum, spec.index));
-        let sites = if model.uses_parameter_sites() {
-            sampler.sample(spec.stratum, fault_rate, &mut rng)
-        } else {
-            Vec::new()
-        };
-        // Datapath models wrap the activation slots; keep the originals so
-        // the trial can put them back (the parameter snapshot cannot).
-        let activation_backup = model.perturbs_activations().then(|| {
-            network
-                .activation_slots()
-                .into_iter()
-                .map(|slot| slot.activation().clone_box())
-                .collect::<Vec<_>>()
-        });
-        let ctx = TrialContext {
-            fault_rate,
-            bit_positions: sampler.bit_positions(spec.stratum),
-        };
-        let injection = model.inject(network, &sites, &ctx, &mut rng);
-        let result = match resume {
-            Some((cache, plan)) => {
-                let boundary = plan.resume_boundary(model, &sites);
-                cache.evaluate_resumed(network, targets, boundary)
-            }
-            None => network
-                .evaluate(inputs, targets, batch_size)
-                .map_err(FaultError::from),
-        };
-        let faults = injection.total();
-        // Always restore, even if evaluation failed.
-        if let Some(backup) = activation_backup {
-            for (slot, original) in network.activation_slots().into_iter().zip(backup) {
-                slot.replace_activation(original);
-            }
-        }
+    job: &TrialJob<'_>,
+    trial: TrialSpec,
+) -> Result<TrialPoint, FaultError> {
+    let model = job.model;
+    let mut rng = StdRng::seed_from_u64(trial_stream_seed(job.seed, trial.stratum, trial.index));
+    let sites = if model.uses_parameter_sites() {
+        job.sampler.sample(trial.stratum, job.fault_rate, &mut rng)
+    } else {
+        Vec::new()
+    };
+    // Datapath models wrap the activation slots; keep the originals so the
+    // trial can put them back (the parameter snapshot cannot).
+    let activation_backup = model.perturbs_activations().then(|| {
         network
-            .restore_full(snapshot)
-            .expect("snapshot taken from the same network always restores");
-        *outcome = Some(result.map(|accuracy| TrialPoint { accuracy, faults }));
+            .activation_slots()
+            .into_iter()
+            .map(|slot| slot.activation().clone_box())
+            .collect::<Vec<_>>()
+    });
+    let ctx = TrialContext {
+        fault_rate: job.fault_rate,
+        bit_positions: job.sampler.bit_positions(trial.stratum),
+    };
+    let injection = model.inject(network, &sites, &ctx, &mut rng);
+    let result = match resume {
+        Some((cache, plan)) => {
+            let boundary = plan.resume_boundary(model, &sites);
+            cache.evaluate_resumed(network, job.targets, boundary)
+        }
+        None => network
+            .evaluate(job.inputs, job.targets, job.batch_size)
+            .map_err(FaultError::from),
+    };
+    // Always restore, even if evaluation failed.
+    if let Some(backup) = activation_backup {
+        for (slot, original) in network.activation_slots().into_iter().zip(backup) {
+            slot.replace_activation(original);
+        }
     }
+    network
+        .restore_full(snapshot)
+        .expect("snapshot taken from the same network always restores");
+    result.map(|accuracy| TrialPoint {
+        accuracy,
+        faults: injection.total(),
+    })
 }
 
 #[cfg(test)]
@@ -1647,8 +1744,6 @@ mod tests {
     use fitact_nn::loss::CrossEntropyLoss;
     use fitact_nn::optim::Sgd;
     use fitact_tensor::init;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     /// A small trained MLP on a separable 2-D problem, plus its eval set.
     fn trained_setup() -> (Network, Tensor, Vec<usize>) {

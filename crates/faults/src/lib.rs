@@ -120,8 +120,8 @@ mod strata;
 mod stuck_at;
 
 pub use campaign::{
-    assemble_report, neyman_allocations, plan_round, plan_round_allocated, stopping_decision,
-    AllocationPolicy, Campaign, CampaignConfig, CampaignControl, CampaignProgress, CampaignReport,
+    neyman_allocations, plan_round, plan_round_allocated, stopping_decision, AllocationPolicy,
+    Campaign, CampaignConfig, CampaignControl, CampaignDriver, CampaignProgress, CampaignReport,
     CampaignResult, RoundDecision, RunOutcome, StatCampaignConfig, StratumReport, TrialEngine,
     TrialSpec, UnitRunner, TRIAL_STREAM_PROVENANCE,
 };

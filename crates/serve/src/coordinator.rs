@@ -32,16 +32,17 @@
 //!
 //! # Determinism and resume
 //!
-//! The coordinator never invents scheduling state: each round's unit list is
-//! derived from [`fitact_faults::plan_round_allocated`] over the per-stratum
-//! scheduled counts and the merged pools (restricted to completed rounds, so
-//! adaptive Neyman allocation sees the same evidence regardless of delivery
-//! timing), and every stopping decision from
-//! [`fitact_faults::stopping_decision`] over the merged pools — exactly the
-//! computation the single-process campaign performs. Resume replays rounds
-//! from zero against the checkpointed pools, so a coordinator restarted
-//! mid-round re-derives the same units, re-leases only the missing ones and
-//! lands on a bit-identical [`CampaignReport`].
+//! The coordinator never invents scheduling state. The round loop is a
+//! [`CampaignDriver`], the same one the single-process campaign runs: it
+//! plans each round from the merged pools, closes it once every trial is
+//! merged, makes the stopping decision and assembles the report. The
+//! coordinator keeps only lease state, and each round's units are a split
+//! of the driver's open round into ranges of at most `unit_trials` trials.
+//! Resume rebuilds the driver from the checkpointed pools, so a coordinator
+//! restarted mid-round re-derives the same units, re-leases only the
+//! missing ones and lands on a bit-identical [`CampaignReport`]; pools
+//! holding a trial the configuration has not scheduled are refused at
+//! start, exactly as the single-process resume refuses them.
 
 use crate::http::Request;
 use crate::protocol::{
@@ -51,8 +52,8 @@ use crate::transport::{Limits, Reply, Routes, Transport, DEFAULT_MAX_CONNECTIONS
 use crate::ServeError;
 use fitact_data::DataSpec;
 use fitact_faults::{
-    assemble_report, plan_round_allocated, stopping_decision, z_for_confidence, CampaignReport,
-    FaultError, FaultModel, StatCampaignConfig, StratifiedSampler, StratumPool, UnitRunner,
+    CampaignDriver, CampaignReport, FaultError, FaultModel, StatCampaignConfig, TrialSpec,
+    UnitRunner,
 };
 use fitact_io::{fingerprint_bytes, CampaignCheckpoint, CampaignSpec, JsonValue, ModelArtifact};
 use std::net::SocketAddr;
@@ -120,14 +121,9 @@ struct UnitSlot {
 
 #[derive(Debug)]
 struct Ledger {
-    pools: Vec<StratumPool>,
-    /// Trials scheduled per stratum by completed rounds.
-    counts: Vec<usize>,
-    rounds: usize,
-    /// The in-flight round's units.
+    driver: CampaignDriver,
+    /// The open round's units.
     units: Vec<UnitSlot>,
-    finished: bool,
-    converged: bool,
     stopping: bool,
     fatal: Option<String>,
 }
@@ -136,12 +132,7 @@ struct Shared {
     ledger: Mutex<Ledger>,
     cv: Condvar,
     campaign: StatCampaignConfig,
-    z: f64,
     fault_free: f32,
-    sampler: StratifiedSampler,
-    /// Per-stratum population sizes (bit counts) — the Neyman weights'
-    /// numerators, precomputed so planning never touches the sampler.
-    populations: Vec<u64>,
     model_name: String,
     network_name: String,
     artifact_bytes: Vec<u8>,
@@ -172,42 +163,31 @@ pub struct Coordinator {
     executor_handle: Option<JoinHandle<()>>,
 }
 
-/// Builds the unit list for round `round` given the per-stratum scheduled
-/// counts and the merged pool state — a pure function of campaign config and
-/// completed-round evidence (the allocator reads only trials below `counts`,
-/// never in-flight points), so every coordinator incarnation derives
-/// identical units and ids.
-#[allow(clippy::too_many_arguments)]
-fn plan_units(
-    config: &StatCampaignConfig,
-    z: f64,
-    fault_free: f32,
-    populations: &[u64],
-    pools: &[StratumPool],
-    counts: &[usize],
-    round: usize,
-    unit_trials: usize,
-) -> Vec<UnitSlot> {
-    let specs = plan_round_allocated(config, z, fault_free, populations, pools, counts);
-    let mut per_stratum = vec![0usize; counts.len()];
-    for spec in &specs {
-        per_stratum[spec.stratum] += 1;
-    }
+/// Splits the driver's open round into units of at most `unit_trials`
+/// consecutive trials of one stratum, with ids `(round << 32) | index`. A
+/// unit whose trials the pools already hold (from a resumed checkpoint)
+/// starts `Done`. The open round is a pure function of the merged pools, so
+/// every coordinator incarnation derives identical units and ids.
+fn plan_units(driver: &CampaignDriver, unit_trials: usize) -> Vec<UnitSlot> {
     let mut units = Vec::new();
-    for (stratum, &scheduled) in per_stratum.iter().enumerate() {
-        let mut offset = 0;
-        while offset < scheduled {
-            let count = unit_trials.min(scheduled - offset);
+    for (stratum, pool) in driver.pools().iter().enumerate() {
+        let trials = driver.open_trials(stratum);
+        for start in trials.clone().step_by(unit_trials) {
+            let count = unit_trials.min(trials.end - start);
+            let state = if pool.contains_range(start as u64, count as u64) {
+                UnitState::Done
+            } else {
+                UnitState::Pending
+            };
             units.push(UnitSlot {
                 unit: WorkUnit {
-                    id: unit_id(round, units.len()),
+                    id: unit_id(driver.round(), units.len()),
                     stratum,
-                    start: counts[stratum] + offset,
+                    start,
                     count,
                 },
-                state: UnitState::Pending,
+                state,
             });
-            offset += count;
         }
     }
     units
@@ -218,69 +198,10 @@ impl Shared {
         self.ledger.lock().expect("ledger poisoned")
     }
 
-    /// Advances the ledger through every round whose trials are already in
-    /// the pools (resume replay and normal round completion share this
-    /// path), stopping at the first round with missing units or at campaign
-    /// completion.
-    fn advance(&self, ledger: &mut Ledger) {
-        loop {
-            let mut units = plan_units(
-                &self.campaign,
-                self.z,
-                self.fault_free,
-                &self.populations,
-                &ledger.pools,
-                &ledger.counts,
-                ledger.rounds,
-                self.unit_trials,
-            );
-            if units.is_empty() {
-                ledger.finished = true;
-                return;
-            }
-            let mut all_done = true;
-            for slot in &mut units {
-                if ledger.pools[slot.unit.stratum]
-                    .contains_range(slot.unit.start as u64, slot.unit.count as u64)
-                {
-                    slot.state = UnitState::Done;
-                } else {
-                    all_done = false;
-                }
-            }
-            if !all_done {
-                ledger.units = units;
-                return;
-            }
-            for slot in &units {
-                ledger.counts[slot.unit.stratum] += slot.unit.count;
-            }
-            ledger.rounds += 1;
-            ledger.units = units;
-            let decision = stopping_decision(
-                &self.campaign,
-                self.z,
-                self.fault_free,
-                &self.populations,
-                &ledger.pools,
-                &ledger.counts,
-            );
-            if decision.converged {
-                ledger.converged = true;
-                ledger.finished = true;
-                return;
-            }
-            if decision.exhausted {
-                ledger.finished = true;
-                return;
-            }
-        }
-    }
-
     /// Grants a unit to `worker`: pending first, then expired-lease
     /// re-dispatch, then straggler re-issue of the earliest-deadline lease.
     fn grant(&self, ledger: &mut Ledger, worker: &str) -> Grant {
-        if ledger.finished {
+        if ledger.driver.is_finished() {
             return Grant::Done;
         }
         if ledger.stopping || ledger.fatal.is_some() {
@@ -352,7 +273,7 @@ impl Shared {
             self.network_name.clone(),
             self.fingerprint,
             self.fault_free,
-            ledger.pools.clone(),
+            ledger.driver.pools().to_vec(),
             completed,
         );
         if let Err(e) = checkpoint.save(path) {
@@ -366,82 +287,77 @@ impl Shared {
     /// added trials (a duplicate of a merged unit adds none), or the
     /// conflict that rejects it.
     fn merge(&self, ledger: &mut Ledger, result: &UnitResult) -> Result<bool, String> {
-        let round = unit_round(result.unit.id);
-        if ledger.finished || round < ledger.rounds {
-            // A duplicate of an already-merged unit (possibly from a prior
-            // coordinator incarnation): idempotent by content.
-            return self.merge_duplicate(ledger, result);
-        }
-        if round > ledger.rounds {
+        let unit = result.unit;
+        let round = unit_round(unit.id);
+        let open = ledger.driver.round();
+        // `Some(i)` for the open round's unit `i` before it is merged. Any
+        // other unit of a closed round, or one already merged (possibly by a
+        // prior coordinator incarnation), is a duplicate: idempotent by
+        // content.
+        let slot = if ledger.driver.is_finished() || round < open {
+            None
+        } else if round > open {
             return Err(format!(
-                "unit {} belongs to round {round}, coordinator is at round {}",
-                result.unit.id, ledger.rounds
+                "unit {} belongs to round {round}, coordinator is at round {open}",
+                unit.id
             ));
-        }
-        let Some(i) = ledger
-            .units
-            .iter()
-            .position(|s| s.unit.id == result.unit.id)
-        else {
-            return Err(format!("unknown unit id {}", result.unit.id));
+        } else {
+            let Some(i) = ledger.units.iter().position(|s| s.unit.id == unit.id) else {
+                return Err(format!("unknown unit id {}", unit.id));
+            };
+            if ledger.units[i].unit != unit {
+                let msg = format!(
+                    "unit {} shape mismatch: coordinator planned {:?}, worker reported {unit:?}",
+                    unit.id, ledger.units[i].unit
+                );
+                return self.abort(ledger, msg);
+            }
+            (ledger.units[i].state != UnitState::Done).then_some(i)
         };
-        if ledger.units[i].unit != result.unit {
-            let msg = format!(
-                "unit {} shape mismatch: coordinator planned {:?}, worker reported {:?}",
-                result.unit.id, ledger.units[i].unit, result.unit
-            );
+        let duplicate = slot.is_none();
+        for (offset, point) in result.points.iter().enumerate() {
+            let trial = TrialSpec {
+                stratum: unit.stratum,
+                index: unit.start + offset,
+            };
+            let held = ledger
+                .driver
+                .pools()
+                .get(trial.stratum)
+                .is_some_and(|pool| pool.contains(trial.index as u64));
+            if duplicate && !held {
+                let msg = format!(
+                    "unit {} claims trial {} which the pool does not hold",
+                    unit.id, trial.index
+                );
+                return self.abort(ledger, msg);
+            }
+            let msg = match ledger.driver.merge(trial, *point) {
+                Ok(_) => continue,
+                Err(FaultError::TrialConflict { index }) if duplicate => format!(
+                    "duplicate completion of unit {} disagrees at trial {index}",
+                    unit.id
+                ),
+                Err(FaultError::TrialConflict { index }) => format!(
+                    "conflicting results for trial {index} of stratum {}: the determinism \
+                     contract is broken (worker ran a different model, seed or build?)",
+                    unit.stratum
+                ),
+                Err(other) => other.to_string(),
+            };
             return self.abort(ledger, msg);
         }
-        if ledger.units[i].state == UnitState::Done {
-            return self.merge_duplicate(ledger, result);
-        }
-        for (offset, point) in result.points.iter().enumerate() {
-            let index = (result.unit.start + offset) as u64;
-            match ledger.pools[result.unit.stratum].insert(index, *point) {
-                Ok(_) => {}
-                Err(FaultError::TrialConflict { index }) => {
-                    let msg = format!(
-                        "conflicting results for trial {index} of stratum {}: the determinism \
-                         contract is broken (worker ran a different model, seed or build?)",
-                        result.unit.stratum
-                    );
-                    return self.abort(ledger, msg);
-                }
-                Err(other) => return self.abort(ledger, other.to_string()),
-            }
-        }
-        ledger.units[i].state = UnitState::Done;
-        if ledger.units.iter().all(|s| s.state == UnitState::Done) {
-            self.advance(ledger);
+        let Some(i) = slot else {
+            return Ok(false);
+        };
+        if ledger.driver.round() == round {
+            ledger.units[i].state = UnitState::Done;
+        } else {
+            ledger.units = plan_units(&ledger.driver, self.unit_trials);
         }
         self.save_checkpoint(ledger);
         self.cv.notify_all();
         Ok(true)
-    }
-
-    /// A duplicate completion merges nothing: it must agree bit for bit
-    /// with what the pools already hold, or the campaign aborts.
-    fn merge_duplicate(&self, ledger: &mut Ledger, result: &UnitResult) -> Result<bool, String> {
-        let Some(pool) = ledger.pools.get(result.unit.stratum) else {
-            let msg = format!("unit names stratum {}", result.unit.stratum);
-            return self.abort(ledger, msg);
-        };
-        for (offset, point) in result.points.iter().enumerate() {
-            let index = (result.unit.start + offset) as u64;
-            let msg = match pool.get(index) {
-                Some(existing) if existing.same_bits(point) => continue,
-                Some(_) => format!(
-                    "duplicate completion of unit {} disagrees at trial {index}",
-                    result.unit.id
-                ),
-                None => format!(
-                    "unit {} claims trial {index} which the pool does not hold",
-                    result.unit.id
-                ),
-            };
-            return self.abort(ledger, msg);
-        }
-        Ok(false)
     }
 
     /// Aborts the campaign over a broken determinism contract and wakes
@@ -453,12 +369,12 @@ impl Shared {
     }
 
     fn status_json(&self, ledger: &Ledger) -> JsonValue {
-        let total: usize = ledger.pools.iter().map(StratumPool::len).sum();
+        let total: usize = ledger.driver.pools().iter().map(|p| p.len()).sum();
         let units = |state: fn(&UnitState) -> bool| {
             num(ledger.units.iter().filter(|s| state(&s.state)).count() as f64)
         };
         obj(vec![
-            ("round", num(ledger.rounds as f64)),
+            ("round", num(ledger.driver.round() as f64)),
             ("total_trials", num(total as f64)),
             ("pending_units", units(|s| *s == UnitState::Pending)),
             (
@@ -466,8 +382,8 @@ impl Shared {
                 units(|s| matches!(s, UnitState::Leased { .. })),
             ),
             ("done_units", units(|s| *s == UnitState::Done)),
-            ("finished", JsonValue::Bool(ledger.finished)),
-            ("converged", JsonValue::Bool(ledger.converged)),
+            ("finished", JsonValue::Bool(ledger.driver.is_finished())),
+            ("converged", JsonValue::Bool(ledger.driver.converged())),
             ("stopping", JsonValue::Bool(ledger.stopping)),
         ])
     }
@@ -515,18 +431,21 @@ impl Routes for Shared {
 }
 
 impl Coordinator {
-    /// Starts a coordinator: instantiates the artifact, re-derives the
-    /// dataset from its provenance pairs, computes the fault-free baseline,
+    /// Starts a coordinator: instantiates the artifact, materialises the
+    /// dataset `data_spec` describes, computes the fault-free baseline,
     /// resumes from `options.checkpoint` when a valid checkpoint exists and
     /// begins serving.
     ///
     /// # Errors
     ///
-    /// Artifact/dataset/config failures, a checkpoint that belongs to a
-    /// different campaign ([`ServeError::Artifact`] wrapping the typed
-    /// mismatch), and socket errors.
-    pub fn start(
+    /// Artifact/dataset/config failures (including a zero `unit_trials`), a
+    /// checkpoint that belongs to a different campaign
+    /// ([`ServeError::Artifact`] wrapping the typed mismatch), resume pools
+    /// holding a trial the configuration has not scheduled
+    /// ([`ServeError::Campaign`]), and socket errors.
+    pub fn start_with_data(
         artifact_bytes: Vec<u8>,
+        data_spec: DataSpec,
         campaign: StatCampaignConfig,
         model: Arc<dyn FaultModel>,
         options: &CoordinatorConfig,
@@ -536,28 +455,6 @@ impl Coordinator {
                 "unit_trials must be non-zero".into(),
             ));
         }
-        let artifact = ModelArtifact::from_bytes(&artifact_bytes)?;
-        let data_spec = DataSpec::from_meta(|k| artifact.meta(k)).ok_or_else(|| {
-            ServeError::InvalidConfig(
-                "artifact carries no dataset provenance; train it with `fitact train`".into(),
-            )
-        })?;
-        Self::start_with_data(artifact_bytes, data_spec, campaign, model, options)
-    }
-
-    /// As [`Coordinator::start`], but with an explicit dataset spec (CLI
-    /// overrides applied by the caller).
-    ///
-    /// # Errors
-    ///
-    /// As [`Coordinator::start`].
-    pub fn start_with_data(
-        artifact_bytes: Vec<u8>,
-        data_spec: DataSpec,
-        campaign: StatCampaignConfig,
-        model: Arc<dyn FaultModel>,
-        options: &CoordinatorConfig,
-    ) -> Result<Coordinator, ServeError> {
         let fingerprint = fingerprint_bytes(&artifact_bytes);
         let artifact = ModelArtifact::from_bytes(&artifact_bytes)?;
         let mut network = artifact.instantiate()?;
@@ -571,17 +468,23 @@ impl Coordinator {
         let runner = UnitRunner::new(network, inputs, targets, &campaign, options.threads.max(1))
             .map_err(|e| ServeError::Campaign(e.to_string()))?;
         let fault_free = runner.fault_free_accuracy();
-        let sampler = runner.sampler().clone();
-
-        let num_strata = sampler.num_strata();
-        let pools = match &options.checkpoint {
+        let resume = match &options.checkpoint {
             Some(path) if path.exists() => {
                 let checkpoint = CampaignCheckpoint::load(path)?;
                 checkpoint.validate_against(&campaign, model.name(), fingerprint, fault_free)?;
-                checkpoint.pools
+                Some(checkpoint.pools)
             }
-            _ => vec![StratumPool::new(); num_strata],
+            _ => None,
         };
+        // Replays the rounds the resumed pools complete.
+        let driver = CampaignDriver::new(
+            &campaign,
+            model.name(),
+            fault_free,
+            runner.sampler(),
+            resume,
+        )
+        .map_err(|e| ServeError::Campaign(e.to_string()))?;
 
         let spec = CampaignSpec {
             config: campaign.clone(),
@@ -597,23 +500,14 @@ impl Coordinator {
         let retry_ms = (options.lease.as_millis() as u64 / 4).clamp(10, 500);
         let shared = Arc::new(Shared {
             ledger: Mutex::new(Ledger {
-                pools,
-                counts: vec![0; num_strata],
-                rounds: 0,
-                units: Vec::new(),
-                finished: false,
-                converged: false,
+                units: plan_units(&driver, options.unit_trials),
+                driver,
                 stopping: false,
                 fatal: None,
             }),
             cv: Condvar::new(),
-            z: z_for_confidence(campaign.confidence),
             campaign,
             fault_free,
-            populations: (0..sampler.num_strata())
-                .map(|s| sampler.population(s))
-                .collect(),
-            sampler,
             model_name: model.name().to_owned(),
             network_name,
             artifact_bytes,
@@ -624,9 +518,6 @@ impl Coordinator {
             retry_ms,
             unit_trials: options.unit_trials,
         });
-
-        // Replay completed rounds out of the (possibly resumed) pools.
-        shared.advance(&mut shared.lock());
 
         let transport = Transport::start(
             &options.listen,
@@ -673,16 +564,7 @@ impl Coordinator {
             if let Some(msg) = &ledger.fatal {
                 return Err(ServeError::Campaign(msg.clone()));
             }
-            if ledger.finished {
-                let report = assemble_report(
-                    &self.shared.campaign,
-                    &self.shared.model_name,
-                    self.shared.fault_free,
-                    &self.shared.sampler,
-                    &ledger.pools,
-                    ledger.rounds,
-                    ledger.converged,
-                );
+            if let Some(report) = ledger.driver.report() {
                 if let Some(path) = &self.shared.checkpoint {
                     let _ = std::fs::remove_file(path);
                 }
@@ -785,6 +667,7 @@ fn local_executor(shared: &Shared, mut runner: UnitRunner, model: &dyn FaultMode
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fitact_faults::StratumPool;
 
     fn test_config(strata: usize, round_trials: usize, max_trials: usize) -> StatCampaignConfig {
         StatCampaignConfig {
@@ -802,29 +685,62 @@ mod tests {
         }
     }
 
-    /// Planning inputs for a pool-less test: unit populations and empty
-    /// pools, which under `equal` allocation are never consulted.
-    fn empty_state(strata: usize) -> (Vec<u64>, Vec<StratumPool>) {
-        (vec![1; strata], vec![StratumPool::new(); strata])
+    /// A driver for `config` resumed from `pools` (fault-free accuracy
+    /// 0.9), over the strata of a tiny network.
+    fn resumed_driver(config: &StatCampaignConfig, pools: Vec<StratumPool>) -> CampaignDriver {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let network = fitact_nn::Network::new(
+            "mlp",
+            fitact_nn::layers::Sequential::new()
+                .with(Box::new(fitact_nn::layers::Linear::new(2, 2, &mut rng))),
+        );
+        let map = fitact_faults::MemoryMap::of_network(&network);
+        let sampler = fitact_faults::StratifiedSampler::new(&map, &config.strata).unwrap();
+        CampaignDriver::new(config, "bitflip", 0.9, &sampler, Some(pools)).unwrap()
+    }
+
+    /// Pools holding trials `0..n` of every stratum, each point from
+    /// `accuracy(stratum, index)`.
+    fn filled_pools(
+        strata: usize,
+        n: u64,
+        accuracy: impl Fn(usize, u64) -> f32,
+    ) -> Vec<StratumPool> {
+        (0..strata)
+            .map(|stratum| {
+                let mut pool = StratumPool::new();
+                for i in 0..n {
+                    let point = fitact_faults::TrialPoint {
+                        accuracy: accuracy(stratum, i),
+                        faults: 1,
+                    };
+                    pool.insert(i, point).unwrap();
+                }
+                pool
+            })
+            .collect()
     }
 
     #[test]
     fn unit_planning_is_deterministic_and_covers_the_round() {
         let config = test_config(2, 5, 1000);
-        let counts = vec![10, 10];
-        let (populations, pools) = empty_state(2);
-        let units = plan_units(&config, 1.96, 0.9, &populations, &pools, &counts, 3, 2);
+        // Two closed rounds: 10 trials scheduled per stratum, round 2 open.
+        let driver = resumed_driver(&config, filled_pools(2, 10, |_, _| 0.9));
+        assert_eq!(driver.round(), 2);
+        let units = plan_units(&driver, 2);
         // 5 trials per stratum in units of ≤2: 3 units each.
         assert_eq!(units.len(), 6);
-        assert_eq!(units[0].unit.id, unit_id(3, 0));
+        assert_eq!(units[0].unit.id, unit_id(2, 0));
         let covered: usize = units.iter().map(|s| s.unit.count).sum();
         assert_eq!(covered, 10);
         for slot in &units {
-            assert!(slot.unit.start >= counts[slot.unit.stratum]);
+            assert!(slot.unit.start >= 10);
             assert!(slot.unit.count <= 2);
+            assert_eq!(slot.state, UnitState::Pending);
         }
         // Bit-for-bit identical on re-derivation (resume contract).
-        let again = plan_units(&config, 1.96, 0.9, &populations, &pools, &counts, 3, 2);
+        let again = plan_units(&driver, 2);
         for (a, b) in units.iter().zip(&again) {
             assert_eq!(a.unit, b.unit);
         }
@@ -832,11 +748,11 @@ mod tests {
 
     #[test]
     fn truncated_final_round_still_partitions_exactly() {
-        let config = test_config(3, 8, 20);
-        // 18 scheduled so far; round would be 24, only 2 remain.
-        let counts = vec![6, 6, 6];
-        let (populations, pools) = empty_state(3);
-        let units = plan_units(&config, 1.96, 0.9, &populations, &pools, &counts, 2, 8);
+        let config = test_config(3, 6, 20);
+        // 18 scheduled so far; the round would be 18, only 2 remain.
+        let driver = resumed_driver(&config, filled_pools(3, 6, |_, _| 0.9));
+        assert_eq!(driver.round(), 1);
+        let units = plan_units(&driver, 8);
         let covered: usize = units.iter().map(|s| s.unit.count).sum();
         assert_eq!(covered, 2);
     }
@@ -847,25 +763,22 @@ mod tests {
             allocation: fitact_faults::AllocationPolicy::Neyman,
             ..test_config(2, 6, 1000)
         };
-        let populations = vec![100, 100];
         // Seed stratum 1 with visibly mixed outcomes so its σ estimate —
         // and therefore its allocation share — exceeds stratum 0's.
-        let mut pools = vec![StratumPool::new(); 2];
-        for i in 0..8u64 {
-            let accuracy = if i % 2 == 0 { 0.9 } else { 0.1 };
-            let steady = fitact_faults::TrialPoint {
-                accuracy: 0.9,
-                faults: 1,
-            };
-            let mixed = fitact_faults::TrialPoint {
-                accuracy,
-                faults: 1,
-            };
-            pools[0].insert(i, steady).unwrap();
-            pools[1].insert(i, mixed).unwrap();
-        }
-        let counts = vec![8, 8];
-        let units = plan_units(&config, 1.96, 0.9, &populations, &pools, &counts, 1, 3);
+        let pools = filled_pools(
+            2,
+            8,
+            |stratum, i| {
+                if stratum == 1 && i % 2 == 1 {
+                    0.1
+                } else {
+                    0.9
+                }
+            },
+        );
+        let driver = resumed_driver(&config, pools.clone());
+        assert_eq!(driver.round(), 1, "round 0 closes, round 1 is open");
+        let units = plan_units(&driver, 3);
         let covered: usize = units.iter().map(|s| s.unit.count).sum();
         assert_eq!(covered, 12, "round budget is strata × round_trials");
         let stratum1: usize = units
@@ -878,7 +791,7 @@ mod tests {
             "high-variance stratum must receive more than an equal share, got {stratum1}"
         );
         // Identical pools ⇒ identical plan, bit for bit.
-        let again = plan_units(&config, 1.96, 0.9, &populations, &pools, &counts, 1, 3);
+        let again = plan_units(&resumed_driver(&config, pools), 3);
         assert_eq!(units.len(), again.len());
         for (a, b) in units.iter().zip(&again) {
             assert_eq!(a.unit, b.unit);

@@ -44,7 +44,7 @@
 //! campaign**: a [`Coordinator`] shards a campaign's trial space into leased
 //! work units served at `/campaign/spec`, `/campaign/model`,
 //! `/campaign/unit`, `/campaign/result` and `/campaign/status`, and workers
-//! ([`run_worker`]) pull, execute and report units with exponential-backoff
+//! ([`run_worker_until`]) pull, execute and report units with exponential-backoff
 //! retries. Leases expire and re-dispatch, duplicates merge idempotently,
 //! and the coordinator checkpoints for crash-safe resume — the final report
 //! stays bit-identical to a single-process run (see `docs/distributed.md`).
@@ -89,7 +89,7 @@ pub use metrics::{
 pub use protocol::{Grant, UnitResult, WorkUnit};
 pub use recovery::RetryPolicy;
 pub use server::{ServeConfig, Server};
-pub use worker::{run_worker, run_worker_until, WorkerConfig, WorkerSummary};
+pub use worker::{run_worker_until, WorkerConfig, WorkerSummary};
 
 use std::error::Error;
 use std::fmt;

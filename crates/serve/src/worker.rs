@@ -113,15 +113,6 @@ fn retryable_status(response: Response) -> Result<Response, String> {
     }
 }
 
-/// Runs a worker until the campaign completes (see [`run_worker_until`]).
-///
-/// # Errors
-///
-/// As [`run_worker_until`].
-pub fn run_worker(config: &WorkerConfig) -> Result<WorkerSummary, ServeError> {
-    run_worker_until(config, &AtomicBool::new(false))
-}
-
 /// Runs a worker until the coordinator reports the campaign done or `stop`
 /// becomes `true`. Fetches the campaign spec and model artifact, verifies
 /// the determinism contract (provenance tag, artifact fingerprint and the
@@ -376,7 +367,7 @@ mod tests {
             request_timeout: Duration::from_millis(200),
             ..WorkerConfig::default()
         };
-        match run_worker(&config) {
+        match run_worker_until(&config, &AtomicBool::new(false)) {
             Err(ServeError::Campaign(msg)) => assert!(msg.contains("fetch campaign spec"), "{msg}"),
             other => panic!("expected Campaign error, got {other:?}"),
         }

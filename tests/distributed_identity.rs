@@ -11,10 +11,10 @@
 
 use fitact_data::DataSpec;
 use fitact_faults::{
-    quantize_network, AllocationPolicy, Campaign, CampaignControl, RunOutcome, StatCampaignConfig,
-    TransientBitFlip, UnitRunner,
+    quantize_network, AllocationPolicy, Campaign, CampaignControl, FaultError, FaultModel,
+    RunOutcome, StatCampaignConfig, StratumPool, TransientBitFlip, TrialPoint, UnitRunner,
 };
-use fitact_io::ModelArtifact;
+use fitact_io::{fingerprint_bytes, CampaignCheckpoint, ModelArtifact};
 use fitact_nn::layers::{ActivationLayer, Flatten, Linear, Sequential};
 use fitact_nn::Network;
 use fitact_serve::http::Response;
@@ -550,4 +550,65 @@ fn interrupted_and_resumed_serial_campaign_matches_uninterrupted() {
 #[test]
 fn neyman_interrupted_and_resumed_campaign_matches_uninterrupted() {
     interrupt_resume_matches_uninterrupted(neyman_config());
+}
+
+/// A checkpoint whose stratum-0 pool holds a trial no round of the
+/// configuration schedules (index 1000) belongs to another campaign. The
+/// coordinator refuses it at start, as the single-process resume refuses
+/// the same pools, instead of counting the stray trial in its report.
+#[test]
+fn checkpoint_with_an_unscheduled_trial_is_refused_by_both_paths() {
+    let config = campaign_config();
+    let runner = make_runner(&config);
+    let mut pools = vec![StratumPool::new(); runner.num_strata()];
+    let stray = TrialPoint {
+        accuracy: 0.0,
+        faults: 1,
+    };
+    pools[0].insert(1000, stray).unwrap();
+    let checkpoint = scratch_path("unscheduled.ckpt");
+    CampaignCheckpoint::new(
+        config.clone(),
+        TransientBitFlip.name(),
+        "mlp",
+        fingerprint_bytes(&artifact_bytes()),
+        runner.fault_free_accuracy(),
+        pools.clone(),
+        Vec::new(),
+    )
+    .save(&checkpoint)
+    .unwrap();
+
+    let started = Coordinator::start_with_data(
+        artifact_bytes(),
+        data_spec(),
+        config.clone(),
+        Arc::new(TransientBitFlip),
+        &CoordinatorConfig {
+            checkpoint: Some(checkpoint.clone()),
+            ..Default::default()
+        },
+    );
+    if let Ok(coordinator) = started {
+        let report = coordinator.run_to_completion();
+        coordinator.shutdown();
+        let _ = std::fs::remove_file(&checkpoint);
+        let trials = report.ok().flatten().map(|r| r.total_trials());
+        panic!("the coordinator accepted the checkpoint and reported {trials:?} trials");
+    }
+    let _ = std::fs::remove_file(&checkpoint);
+
+    let artifact = ModelArtifact::from_bytes(&artifact_bytes()).unwrap();
+    let mut network = artifact.instantiate().unwrap();
+    quantize_network(&mut network);
+    let (inputs, targets) = data_spec().materialize().unwrap();
+    let resumed = Campaign::new(&mut network, &inputs, &targets)
+        .unwrap()
+        .run_until_resumable(&config, &TransientBitFlip, 1, Some(pools), &mut |_| {
+            CampaignControl::Continue
+        });
+    assert!(
+        matches!(resumed, Err(FaultError::InvalidConfig(_))),
+        "single-process resume must refuse the same pools, got {resumed:?}"
+    );
 }
