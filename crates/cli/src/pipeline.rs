@@ -619,8 +619,12 @@ fn campaign_single(args: &Args) -> Result<JsonValue, CliError> {
             // `assess_resilience` quantizes before running; match it so the
             // resumable path stays bit-identical to the plain one.
             quantize_network(&mut network);
-            let fault_free = network
-                .evaluate(&inputs, &targets, config.batch_size)
+            let network_name = network.name().to_owned();
+            let mut campaign = Campaign::new(&mut network, &inputs, &targets)
+                .map_err(|e| format!("campaign failed: {e}"))?;
+            // The campaign keeps this baseline and runs from it.
+            let fault_free = campaign
+                .fault_free_accuracy(config.batch_size)
                 .map_err(|e| format!("baseline evaluation failed: {e}"))?;
             let resume = if path.exists() {
                 let checkpoint = CampaignCheckpoint::load(&path)
@@ -634,7 +638,6 @@ fn campaign_single(args: &Args) -> Result<JsonValue, CliError> {
             } else {
                 None
             };
-            let network_name = network.name().to_owned();
             let snapshot = |pools: Vec<fitact_faults::StratumPool>| {
                 CampaignCheckpoint::new(
                     config.clone(),
@@ -647,8 +650,7 @@ fn campaign_single(args: &Args) -> Result<JsonValue, CliError> {
                 )
             };
             let mut save_error: Option<String> = None;
-            let outcome = Campaign::new(&mut network, &inputs, &targets)
-                .map_err(|e| format!("campaign failed: {e}"))?
+            let outcome = campaign
                 .run_until_resumable(
                     &config,
                     &TransientBitFlip,

@@ -25,7 +25,7 @@ use fitact_tensor::Tensor;
 /// whole point of the function) corresponds to a negative `k` in that formula;
 /// this implementation uses the equivalent form `x · σ(k(λ_i − x))` with a
 /// positive `k`, which matches Fig. 3 exactly. The discrepancy is documented in
-/// `DESIGN.md`.
+/// `docs/deviations.md`.
 ///
 /// # Example
 ///
@@ -107,20 +107,75 @@ impl FitRelu {
         }
         Ok(neurons)
     }
-
-    #[inline]
-    fn gate(&self, x: f32, lambda: f32) -> f32 {
-        sigmoid(self.slope * (lambda - x))
-    }
 }
 
-#[inline]
-fn sigmoid(z: f32) -> f32 {
-    if z >= 0.0 {
-        1.0 / (1.0 + (-z).exp())
-    } else {
-        let e = z.exp();
-        e / (1.0 + e)
+/// `log2(e)`, the factor that turns the exponent into a power of two.
+const LOG2_E: f32 = std::f32::consts::LOG2_E;
+/// Cody–Waite split of `ln 2`: the high part, exactly 0.693359375, has 12
+/// significant bits, so `a − n·LN2_HI` is exact for every `|n| ≤ 150`.
+const LN2_HI: f32 = 0.693_359_4;
+const LN2_LO: f32 = -0.000_212_194_44;
+/// `1.5 · 2^23`: adding it rounds a float of magnitude below `2^22` to the
+/// nearest integer and leaves that integer in the low mantissa bits.
+const SHIFTER: f32 = 12_582_912.0;
+/// Minimax coefficients of `(e^r − 1 − r) / r²` on `|r| ≤ ln 2 / 2`
+/// (relative error of the whole polynomial 3.8e-9 with these f32 values).
+const EXP_C2: f32 = 0.499_999_94;
+const EXP_C3: f32 = 0.166_665_21;
+const EXP_C4: f32 = 0.041_668_39;
+const EXP_C5: f32 = 0.008_368_71;
+const EXP_C6: f32 = 0.001_381_461_3;
+
+/// The FitReLU gate at one element.
+struct Gate {
+    /// `σ(k(λ − x))`.
+    sigma: f32,
+    /// `max(0, x·σ)`: `+0.0` wherever `x·σ` is not `> 0`, so also for `−0.0`,
+    /// NaN and `±∞`.
+    y: f32,
+}
+
+/// The one FitReLU gate that the forward and backward passes and
+/// [`Activation::eval_scalar`] all evaluate.
+///
+/// It is plain IEEE-754 lane arithmetic — no libm call, no branch — so the
+/// compiler vectorises the loops around it and every host, vector width and
+/// thread computes the same bits. `σ(k(λ − x))` is within 2 ulp of the exact
+/// sigmoid wherever it is a normal float, exactly 1 where `e^{k(x−λ)}`
+/// underflows and exactly 0 where it overflows (see `docs/deviations.md`).
+#[inline(always)]
+fn gate(x: f32, lambda: f32, k: f32) -> Gate {
+    let t = k * (x - lambda);
+    // e = exp(−|t|) ∈ [0, 1]: −|t| = n·ln 2 + r with |r| ≤ ln 2 / 2. The
+    // clamp also maps NaN to −104, where e is 0.
+    let a = -t.abs();
+    let a = if a > -104.0 { a } else { -104.0 };
+    let shifted = a.mul_add(LOG2_E, SHIFTER);
+    let n = shifted - SHIFTER;
+    let r = n.mul_add(-LN2_LO, n.mul_add(-LN2_HI, a));
+    let poly = EXP_C6
+        .mul_add(r, EXP_C5)
+        .mul_add(r, EXP_C4)
+        .mul_add(r, EXP_C3)
+        .mul_add(r, EXP_C2);
+    let p = 1.0 + (r * r).mul_add(poly, r);
+    // 2^n from the biased exponent n + 127, flushed to 0 below 2^-126.
+    let biased = (shifted.to_bits() as i32 - (SHIFTER.to_bits() as i32 - 127)).max(0);
+    let e = p * f32::from_bits((biased as u32) << 23);
+    // σ = 1 / (1 + e) for t ≤ 0 and e / (1 + e) for t > 0.
+    let num = if t > 0.0 { e } else { 1.0 };
+    let s = 1.0 + e;
+    // 1 + e = s + s_lo exactly (Fast2Sum, as e ≤ 1). One correction step
+    // removes the rounding of 1 + e and of the quotient; 1.5 − s/2 is close
+    // enough to 1/s on [1, 2] for a term this small.
+    let s_lo = (1.0 - s) + e;
+    let q = num / s;
+    let residual = (-q).mul_add(s_lo, (-q).mul_add(s, num));
+    let sigma = residual.mul_add((-0.5f32).mul_add(s, 1.5), q);
+    let y = x * sigma;
+    Gate {
+        sigma,
+        y: if y > 0.0 { y } else { 0.0 },
     }
 }
 
@@ -131,14 +186,17 @@ impl Activation for FitRelu {
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         let neurons = self.check_input(input)?;
-        let bounds = self.bounds.data().as_slice();
-        let mut out = input.clone();
-        for sample in out.as_mut_slice().chunks_exact_mut(neurons) {
-            for (v, &lambda) in sample.iter_mut().zip(bounds) {
-                let inner = *v * self.gate(*v, lambda);
-                *v = inner.max(0.0);
-            }
+        let (bounds, k) = (self.bounds.data().as_slice(), self.slope);
+        let mut out = Vec::with_capacity(input.numel());
+        for sample in input.as_slice().chunks_exact(neurons) {
+            out.extend(
+                sample
+                    .iter()
+                    .zip(bounds)
+                    .map(|(&x, &lambda)| gate(x, lambda, k).y),
+            );
         }
+        let out = Tensor::from_vec(out, input.dims()).expect("one output per input element");
         match &mut self.cached_input {
             Some(cached) => cached.copy_from(input),
             None => self.cached_input = Some(input.clone()),
@@ -178,15 +236,13 @@ impl Activation for FitRelu {
                 .zip(grad_lambda.iter_mut())
             {
                 // y = max(0, x·σ(k(λ−x))); the inner product is positive iff x > 0.
-                if xi <= 0.0 {
-                    continue;
-                }
-                let s = sigmoid(k * (lambda - xi));
+                let s = gate(xi, lambda, k).sigma;
                 let ds = s * (1.0 - s);
+                let on = xi > 0.0;
                 // ∂y/∂x = σ + x · σ' · (−k) = s − k·x·s(1−s)
-                *gi = g * (s - k * xi * ds);
+                *gi = if on { g * (s - k * xi * ds) } else { 0.0 };
                 // ∂y/∂λ = x · σ' · k = k·x·s(1−s)
-                *gl += g * k * xi * ds;
+                *gl += if on { g * k * xi * ds } else { 0.0 };
             }
         }
         Ok(grad_input)
@@ -194,7 +250,7 @@ impl Activation for FitRelu {
 
     fn eval_scalar(&self, x: f32, neuron: usize) -> f32 {
         let lambda = self.bounds.data().as_slice()[neuron % self.num_neurons()];
-        (x * self.gate(x, lambda)).max(0.0)
+        gate(x, lambda, self.slope).y
     }
 
     fn count_violations(&self, input: &Tensor) -> u64 {
@@ -225,6 +281,9 @@ impl Activation for FitRelu {
         Box::new(self.clone())
     }
 }
+
+#[cfg(test)]
+mod gate_tests;
 
 #[cfg(test)]
 mod tests {

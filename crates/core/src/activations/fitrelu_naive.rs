@@ -16,7 +16,8 @@ use fitact_tensor::Tensor;
 /// learned through this form — that is what the smooth [`crate::FitRelu`]
 /// solves. `FitReluNaive` is still useful as a *deployment* activation: after
 /// post-training the learned bounds can be installed here for an exact hard
-/// cutoff at inference time (see the deployment ablation in `DESIGN.md`).
+/// cutoff at inference time (`docs/deviations.md` records that no deployment
+/// ablation has been measured).
 #[derive(Debug, Clone)]
 pub struct FitReluNaive {
     bounds: Parameter,

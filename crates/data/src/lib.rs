@@ -4,7 +4,8 @@
 //! available in this offline environment, so the primary dataset here is
 //! [`SyntheticCifar`]: procedurally generated, class-conditional 3×32×32
 //! images that a convolutional network can actually learn, exercising exactly
-//! the same code paths (see `DESIGN.md` §2 for the substitution argument).
+//! the same code paths (see `docs/deviations.md` for the substitution
+//! argument).
 //! The real CIFAR binary format is still supported through [`CifarBinary`]
 //! when the files are present on disk.
 //!

@@ -1124,6 +1124,10 @@ pub struct Campaign<'a> {
     targets: &'a [usize],
     map: MemoryMap,
     engine: TrialEngine,
+    /// The last baseline captured, reused by the next run with the same
+    /// batch size and engine. The campaign holds the only reference to the
+    /// network and every trial restores it, so the capture stays valid.
+    baseline: Option<Baseline>,
 }
 
 impl<'a> Campaign<'a> {
@@ -1174,6 +1178,7 @@ impl<'a> Campaign<'a> {
             targets,
             map,
             engine: TrialEngine::default(),
+            baseline: None,
         })
     }
 
@@ -1194,6 +1199,47 @@ impl<'a> Campaign<'a> {
     /// The trial-evaluation engine the campaign will use.
     pub fn engine(&self) -> TrialEngine {
         self.engine
+    }
+
+    /// The fault-free accuracy of the evaluation set at `batch_size`, from
+    /// the baseline forward every run starts with.
+    ///
+    /// The campaign keeps that baseline, and the next run with the same
+    /// batch size and engine reuses it instead of evaluating the set again;
+    /// its accuracy is bit-identical to [`Network::evaluate`] and to the
+    /// report's `fault_free_accuracy`. A caller that checks a checkpoint
+    /// against the baseline before resuming therefore pays one clean pass,
+    /// not two.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FaultError::InvalidConfig`] for a zero `batch_size` or a
+    /// target count that does not match the inputs, and propagates
+    /// evaluation failures.
+    pub fn fault_free_accuracy(&mut self, batch_size: usize) -> Result<f32, FaultError> {
+        let baseline = self.take_baseline(batch_size)?;
+        let accuracy = baseline.fault_free_accuracy;
+        self.baseline = Some(baseline);
+        Ok(accuracy)
+    }
+
+    /// The stored baseline if it matches `batch_size` and the engine, or a
+    /// fresh capture.
+    fn take_baseline(&mut self, batch_size: usize) -> Result<Baseline, FaultError> {
+        match self.baseline.take() {
+            Some(baseline)
+                if baseline.batch_size == batch_size && baseline.engine == self.engine =>
+            {
+                Ok(baseline)
+            }
+            _ => Baseline::capture(
+                self.network,
+                self.inputs,
+                self.targets,
+                batch_size,
+                self.engine,
+            ),
+        }
     }
 
     /// Runs the fixed-count campaign: `config.trials` times, sample faults at
@@ -1241,14 +1287,8 @@ impl<'a> Campaign<'a> {
     ) -> Result<CampaignResult, FaultError> {
         config.validate()?;
         let sampler = StratifiedSampler::uniform(&self.map)?;
-        let mut executor = TrialExecutor::new(
-            self.network,
-            self.inputs,
-            self.targets,
-            config.batch_size,
-            self.engine,
-            threads.min(config.trials),
-        )?;
+        let baseline = self.take_baseline(config.batch_size)?;
+        let mut executor = TrialExecutor::new(baseline, self.network, threads.min(config.trials));
         let trials: Vec<TrialSpec> = (0..config.trials)
             .map(|index| TrialSpec { stratum: 0, index })
             .collect();
@@ -1262,6 +1302,8 @@ impl<'a> Campaign<'a> {
             targets: self.targets,
         };
         let points = executor.run(self.network, &job, &trials)?;
+        let fault_free_accuracy = executor.baseline.fault_free_accuracy;
+        self.baseline = Some(executor.baseline);
         let accuracies: Vec<f32> = points.iter().map(|p| p.accuracy).collect();
         let total_faults = points.iter().map(|p| p.faults).sum();
         let stats = SampleStats::from_sample(&accuracies)
@@ -1269,7 +1311,7 @@ impl<'a> Campaign<'a> {
         Ok(CampaignResult {
             accuracies,
             stats,
-            fault_free_accuracy: executor.fault_free_accuracy,
+            fault_free_accuracy,
             total_faults,
             fault_rate: config.fault_rate,
         })
@@ -1390,21 +1432,19 @@ impl<'a> Campaign<'a> {
         config.validate()?;
         check_model_strata(model, config)?;
         let sampler = StratifiedSampler::new(&self.map, &config.strata)?;
-        let mut executor = TrialExecutor::new(
-            self.network,
-            self.inputs,
-            self.targets,
-            config.batch_size,
-            self.engine,
-            threads.min(config.round_trials * sampler.num_strata()),
-        )?;
+        let baseline = self.take_baseline(config.batch_size)?;
         let mut driver = CampaignDriver::new(
             config,
             model.name(),
-            executor.fault_free_accuracy,
+            baseline.fault_free_accuracy,
             &sampler,
             resume,
         )?;
+        let mut executor = TrialExecutor::new(
+            baseline,
+            self.network,
+            threads.min(config.round_trials * sampler.num_strata()),
+        );
         let job = TrialJob {
             sampler: &sampler,
             model,
@@ -1428,10 +1468,12 @@ impl<'a> Campaign<'a> {
             if !driver.is_finished() {
                 let progress = driver.progress();
                 if observer(&progress) == CampaignControl::Stop {
+                    self.baseline = Some(executor.baseline);
                     return Ok(RunOutcome::Interrupted(progress));
                 }
             }
         }
+        self.baseline = Some(executor.baseline);
         Ok(RunOutcome::Finished(
             driver.report().expect("the driver is finished"),
         ))
@@ -1481,14 +1523,18 @@ impl UnitRunner {
             return Err(FaultError::EmptyMemoryMap);
         }
         let sampler = StratifiedSampler::new(&map, &config.strata)?;
-        let executor = TrialExecutor::new(
+        let baseline = Baseline::capture(
             &mut network,
             &inputs,
             &targets,
             config.batch_size,
             TrialEngine::CheckpointResumed,
-            threads.min(config.round_trials * sampler.num_strata()),
         )?;
+        let executor = TrialExecutor::new(
+            baseline,
+            &network,
+            threads.min(config.round_trials * sampler.num_strata()),
+        );
         Ok(UnitRunner {
             network,
             inputs,
@@ -1503,7 +1549,7 @@ impl UnitRunner {
     /// loaded the same artifact, and verified by the coordinator before any
     /// unit result is merged.
     pub fn fault_free_accuracy(&self) -> f32 {
-        self.executor.fault_free_accuracy
+        self.executor.baseline.fault_free_accuracy
     }
 
     /// Number of strata the runner resolved.
@@ -1572,32 +1618,29 @@ struct TrialJob<'a> {
     targets: &'a [usize],
 }
 
-/// The trial executor behind [`Campaign`] and [`UnitRunner`]: the parameter
-/// snapshot every trial restores, the fault-free baseline and one network
-/// clone per extra thread, all made once per campaign or runner.
+/// The fault-free state every trial of one campaign starts from and is
+/// scored against, captured with one clean pass over the evaluation set.
 #[derive(Debug)]
-struct TrialExecutor {
+struct Baseline {
+    batch_size: usize,
+    engine: TrialEngine,
+    /// The parameters every trial restores.
     snapshot: NetworkSnapshot,
     /// The clean layer-boundary activations and site→layer plan of the
     /// resumed engine; `None` selects full forwards.
     resume: Option<(CheckpointCache, ResumePlan)>,
     fault_free_accuracy: f32,
-    /// Networks for the threads beyond the caller's, which runs trials on
-    /// the network it passes to [`TrialExecutor::run`].
-    workers: Vec<Network>,
 }
 
-impl TrialExecutor {
-    /// Snapshots `network`, establishes the baseline with one fault-free
-    /// forward (which under the resumed engine also captures the
-    /// layer-boundary checkpoints) and clones `threads - 1` workers.
-    fn new(
+impl Baseline {
+    /// Snapshots `network` and runs the one fault-free forward, which under
+    /// the resumed engine also captures the layer-boundary checkpoints.
+    fn capture(
         network: &mut Network,
         inputs: &Tensor,
         targets: &[usize],
         batch_size: usize,
         engine: TrialEngine,
-        threads: usize,
     ) -> Result<Self, FaultError> {
         let snapshot = network.snapshot_full();
         let (resume, fault_free_accuracy) = match engine {
@@ -1609,13 +1652,31 @@ impl TrialExecutor {
             }
             TrialEngine::FullForward => (None, network.evaluate(inputs, targets, batch_size)?),
         };
-        let workers = (1..threads).map(|_| network.clone()).collect();
-        Ok(TrialExecutor {
+        Ok(Baseline {
+            batch_size,
+            engine,
             snapshot,
             resume,
             fault_free_accuracy,
-            workers,
         })
+    }
+}
+
+/// The trial executor behind [`Campaign`] and [`UnitRunner`]: a baseline and
+/// one network clone per extra thread, made once per campaign or runner.
+#[derive(Debug)]
+struct TrialExecutor {
+    baseline: Baseline,
+    /// Networks for the threads beyond the caller's, which runs trials on
+    /// the network it passes to [`TrialExecutor::run`].
+    workers: Vec<Network>,
+}
+
+impl TrialExecutor {
+    /// Clones `threads - 1` workers of `network`, whose baseline is given.
+    fn new(baseline: Baseline, network: &Network, threads: usize) -> Self {
+        let workers = (1..threads).map(|_| network.clone()).collect();
+        TrialExecutor { baseline, workers }
     }
 
     /// Runs `trials` on `network` and the worker clones and returns their
@@ -1635,7 +1696,7 @@ impl TrialExecutor {
         // The counter only hands out indices; points travel back through the
         // joins, so `Relaxed` suffices.
         let next = AtomicUsize::new(0);
-        let (snapshot, resume) = (&self.snapshot, self.resume.as_ref());
+        let (snapshot, resume) = (&self.baseline.snapshot, self.baseline.resume.as_ref());
         let pull = |network: &mut Network| {
             let mut points = Vec::new();
             loop {
@@ -1747,8 +1808,13 @@ mod tests {
 
     /// A small trained MLP on a separable 2-D problem, plus its eval set.
     fn trained_setup() -> (Network, Tensor, Vec<usize>) {
+        trained_behind(Sequential::new())
+    }
+
+    /// [`trained_setup`]'s MLP behind the layers of `front`.
+    fn trained_behind(front: Sequential) -> (Network, Tensor, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(0);
-        let root = Sequential::new()
+        let root = front
             .with(Box::new(Linear::new(2, 16, &mut rng)))
             .with(Box::new(ActivationLayer::relu("h", &[16])))
             .with(Box::new(Linear::new(16, 2, &mut rng)));
@@ -1767,6 +1833,90 @@ mod tests {
         }
         quantize_network(&mut net);
         (net, inputs, targets)
+    }
+
+    /// Counts the forwards that reach it. Placed before every parameterised
+    /// layer, it sees only clean full passes: a resumed trial starts at its
+    /// first faulted layer.
+    #[derive(Debug, Clone)]
+    struct ForwardCounter(std::sync::Arc<AtomicUsize>);
+
+    impl fitact_nn::Layer for ForwardCounter {
+        fn name(&self) -> String {
+            "counter".into()
+        }
+
+        fn forward(
+            &mut self,
+            input: &Tensor,
+            _mode: fitact_nn::Mode,
+        ) -> Result<Tensor, fitact_nn::NnError> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Ok(input.clone())
+        }
+
+        fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, fitact_nn::NnError> {
+            Ok(grad_output.clone())
+        }
+
+        fn clone_box(&self) -> Box<dyn fitact_nn::Layer> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn a_stored_baseline_is_the_only_clean_pass_of_later_runs() {
+        let passes = std::sync::Arc::new(AtomicUsize::new(0));
+        let counter = ForwardCounter(passes.clone());
+        let (mut net, inputs, targets) = trained_behind(Sequential::new().with(Box::new(counter)));
+        passes.store(0, Ordering::SeqCst);
+        let reference = net.evaluate(&inputs, &targets, 32).unwrap();
+        // 128 rows at batch 32: one clean pass is four forwards.
+        let pass = 4;
+        assert_eq!(passes.swap(0, Ordering::SeqCst), pass);
+
+        let config = StatCampaignConfig {
+            fault_rate: 5e-3,
+            batch_size: 32,
+            round_trials: 4,
+            min_trials: 8,
+            max_trials: 16,
+            ..Default::default()
+        };
+        let mut campaign = Campaign::new(&mut net, &inputs, &targets).unwrap();
+        let fault_free = campaign.fault_free_accuracy(32).unwrap();
+        assert_eq!(fault_free.to_bits(), reference.to_bits());
+        assert_eq!(passes.load(Ordering::SeqCst), pass);
+        let report = match campaign
+            .run_until_resumable(&config, &TransientBitFlip, 2, None, &mut |_| {
+                CampaignControl::Continue
+            })
+            .unwrap()
+        {
+            RunOutcome::Finished(report) => report,
+            RunOutcome::Interrupted(_) => unreachable!("the observer never stops"),
+        };
+        assert!(report.total_faults() > 0);
+        assert_eq!(report.fault_free_accuracy.to_bits(), reference.to_bits());
+        assert_eq!(
+            passes.load(Ordering::SeqCst),
+            pass,
+            "the run captured again"
+        );
+
+        // Later runs at the same batch size reuse it too; another batch size
+        // captures its own.
+        let fixed = CampaignConfig {
+            trials: 4,
+            batch_size: 32,
+            fault_rate: 5e-3,
+            seed: 3,
+        };
+        let result = campaign.run(&fixed).unwrap();
+        assert_eq!(result.fault_free_accuracy.to_bits(), reference.to_bits());
+        assert_eq!(passes.load(Ordering::SeqCst), pass);
+        campaign.fault_free_accuracy(64).unwrap();
+        assert_eq!(passes.load(Ordering::SeqCst), pass + 2);
     }
 
     #[test]
