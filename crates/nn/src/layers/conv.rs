@@ -1,4 +1,15 @@
 //! 2-D convolution via im2col.
+//!
+//! Each forward lowers its input with one [`fitact_tensor::im2col_into`]
+//! call per sample group: the f32 path lowers [`nn_group_len`] samples at
+//! once, the f16/int8 path and backward's dW lowering one sample. A stride-1
+//! layer whose output plane equals its input plane (every AlexNet and VGG16
+//! convolution, ResNet50's stride-1 ones) takes the shifted-plane lowering,
+//! whose channel-major staging lives in the per-thread forward scratch; a
+//! single sample is lowered in place. Every other geometry (stride above 1,
+//! or an output plane that differs from the input plane) takes the per-row
+//! lowering. Both write the same bits, so the choice never shows in
+//! outputs.
 
 use crate::layers::{cache_input, Layer, Mode};
 use crate::{NnError, Parameter};
@@ -16,31 +27,27 @@ const WS_DCOLS: usize = 1;
 
 thread_local! {
     /// Forward scratch shared by every convolution on this thread:
-    /// `(columns, products)`. The f32 path holds a sample group's im2col
-    /// matrix and grouped product there; the f16/int8 path one sample's
-    /// transposed columns and output. Per thread rather than per layer, so
-    /// network clones carry no group-sized buffers, and warm forwards
-    /// allocate nothing.
-    static FORWARD_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    /// `[columns, products, staging]`. The f32 path holds a sample group's
+    /// im2col matrix, grouped product and channel-major input planes there;
+    /// the f16/int8 path one sample's transposed columns and output. Per
+    /// thread rather than per layer, so network clones carry no group-sized
+    /// buffers, and warm forwards allocate nothing.
+    static FORWARD_SCRATCH: RefCell<[Vec<f32>; 3]> =
+        const { RefCell::new([Vec::new(), Vec::new(), Vec::new()]) };
 }
 
-/// Runs `f` on this thread's forward scratch, grown to at least `cols` and
-/// `products` elements and sliced to exactly those lengths.
-fn with_forward_scratch<R>(
-    cols: usize,
-    products: usize,
-    f: impl FnOnce(&mut [f32], &mut [f32]) -> R,
-) -> R {
+/// Runs `f` on this thread's forward scratch, each buffer grown to at least
+/// its length in `lens` and sliced to exactly that length.
+fn with_forward_scratch<R>(lens: [usize; 3], f: impl FnOnce([&mut [f32]; 3]) -> R) -> R {
     FORWARD_SCRATCH.with(|cell| {
-        let (col_buf, product_buf) = &mut *cell.borrow_mut();
-        if col_buf.len() < cols {
-            col_buf.resize(cols, 0.0);
+        fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+            if buf.len() < len {
+                buf.resize(len, 0.0);
+            }
+            &mut buf[..len]
         }
-        if product_buf.len() < products {
-            product_buf.resize(products, 0.0);
-        }
-        f(&mut col_buf[..cols], &mut product_buf[..products])
+        let [a, b, c] = &mut *cell.borrow_mut();
+        f([grown(a, lens[0]), grown(b, lens[1]), grown(c, lens[2])])
     })
 }
 
@@ -56,14 +63,15 @@ fn with_forward_scratch<R>(
 ///
 /// # Allocation behaviour
 ///
-/// Forward intermediates (column matrices, grouped products, transposed
-/// reduced-precision staging) live in a per-thread scratch shared by every
-/// convolution, backward staging in a per-layer [`Workspace`], and the
-/// weight matrix is a zero-copy view. So after the first batch of a given
-/// shape, [`Conv2d::forward_into`] performs **zero heap allocations** per
-/// call, in every precision, and [`Layer::forward`] performs exactly one (the
-/// returned output tensor). This is verified by the `conv_alloc`
-/// integration test.
+/// Forward intermediates (column matrices, grouped products, channel-major
+/// input planes, transposed reduced-precision staging) live in a per-thread
+/// scratch shared by every convolution, backward staging in a per-layer
+/// [`Workspace`], and the weight matrix is a zero-copy view. The scratch
+/// only grows, so layers of different shapes reuse it in any order. After
+/// the first batch of a given shape, [`Conv2d::forward_into`] performs
+/// **zero heap allocations** per call, in every precision, and
+/// [`Layer::forward`] performs exactly one (the returned output tensor).
+/// This is verified by the `conv_alloc` integration test.
 ///
 /// # Example
 ///
@@ -194,7 +202,7 @@ impl Conv2d {
             // (one row per output position) and transpose the result back
             // into the [out_ch, spatial] feature-map layout.
             let cols = self.ws.buf(WS_COLS, kmat * spatial);
-            return with_forward_scratch(spatial * kmat, spatial * oc, |rows, yt| {
+            return with_forward_scratch([spatial * kmat, spatial * oc, 0], |[rows, yt, _]| {
                 for n in 0..batch {
                     let sample = &input.as_slice()[n * in_size..(n + 1) * in_size];
                     im2col_into(
@@ -204,7 +212,7 @@ impl Conv2d {
                         self.stride,
                         self.padding,
                         cols,
-                        (0, 1),
+                        &mut [],
                     )?;
                     for (r, crow) in cols.chunks_exact(spatial).enumerate() {
                         for (s, v) in crow.iter().enumerate() {
@@ -249,25 +257,25 @@ impl Conv2d {
         let wmat = self.weight.data().as_slice();
         let group = nn_group_len(oc, kmat, spatial).min(batch).max(1);
         with_forward_scratch(
-            kmat * group * spatial,
-            oc * group * spatial,
-            |cols, products| {
+            [
+                kmat * group * spatial,
+                oc * group * spatial,
+                group * in_size,
+            ],
+            |[cols, products, staging]| {
                 for first in (0..batch).step_by(group) {
                     let g = group.min(batch - first);
                     let cols = &mut cols[..kmat * g * spatial];
                     let products = &mut products[..oc * g * spatial];
-                    for s in 0..g {
-                        let n = first + s;
-                        im2col_into(
-                            &input.as_slice()[n * in_size..(n + 1) * in_size],
-                            (self.in_channels, h, w),
-                            (self.kernel, self.kernel),
-                            self.stride,
-                            self.padding,
-                            cols,
-                            (s, g),
-                        )?;
-                    }
+                    im2col_into(
+                        &input.as_slice()[first * in_size..(first + g) * in_size],
+                        (self.in_channels, h, w),
+                        (self.kernel, self.kernel),
+                        self.stride,
+                        self.padding,
+                        cols,
+                        staging,
+                    )?;
                     matmul_nn_grouped(wmat, cols, products, oc, kmat, spatial, g);
                     // Product row c holds channel c of every sample in the
                     // group; scatter it into each sample's feature map, adding
@@ -382,7 +390,7 @@ impl Conv2d {
                 self.stride,
                 self.padding,
                 cols,
-                (0, 1),
+                &mut [],
             )?;
             let g = &grad_output.as_slice()[n * out_size..(n + 1) * out_size];
             // dW += g · colsᵀ, accumulated straight into the gradient.
@@ -493,6 +501,18 @@ mod tests {
             .is_err());
         assert!(conv
             .forward(&Tensor::zeros(&[3, 8, 8]), Mode::Eval)
+            .is_err());
+    }
+
+    #[test]
+    fn rejects_a_padding_whose_padded_size_overflows() {
+        // An unvalidated padding from a model file: 32 + 2·2⁶³ wraps to 32
+        // in unchecked arithmetic, which would give a 30x30 output.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut conv = Conv2d::new(1, 1, 3, 1, 1 << 63, &mut rng);
+        assert!(conv.output_size((32, 32)).is_err());
+        assert!(conv
+            .forward(&Tensor::zeros(&[1, 1, 32, 32]), Mode::Eval)
             .is_err());
     }
 

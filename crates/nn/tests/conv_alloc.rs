@@ -1,5 +1,6 @@
 //! Pins the zero-allocation contract of `Conv2d`, in f32 and with
-//! f16-quantized weights.
+//! f16-quantized weights, and across a stack of convolutions with different
+//! geometries.
 //!
 //! A counting global allocator records every heap allocation; after a warm-up
 //! batch has sized the layer's [`fitact_tensor::Workspace`], the per-thread
@@ -46,6 +47,21 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (ALLOCATIONS.load(Ordering::SeqCst) - before, result)
 }
 
+/// The fewest allocations counted over up to ten windows of `f`, stopping at
+/// the first clean one. The counter is process-global, so an allocation on
+/// another harness thread during a window would falsely implicate `f`; a
+/// genuinely allocating `f` could never produce a clean window.
+fn fewest_allocations(mut f: impl FnMut()) -> usize {
+    let mut best = usize::MAX;
+    for _ in 0..10 {
+        best = best.min(allocations(&mut f).0);
+        if best == 0 {
+            break;
+        }
+    }
+    best
+}
+
 #[test]
 fn conv2d_forward_is_allocation_free_after_the_first_batch() {
     let mut rng = StdRng::seed_from_u64(0);
@@ -60,22 +76,11 @@ fn conv2d_forward_is_allocation_free_after_the_first_batch() {
     conv.forward_into(&x, Mode::Train, &mut out).unwrap();
     let reference = out.clone();
 
-    // The counter is process-global, so an allocation on another harness
-    // thread during the window would falsely implicate forward_into; retry a
-    // few windows and require that at least one is completely clean (which a
-    // genuinely allocating forward_into could never produce).
-    let mut best = usize::MAX;
-    for _ in 0..10 {
-        let (count, ()) = allocations(|| {
-            for _ in 0..5 {
-                conv.forward_into(&x, Mode::Train, &mut out).unwrap();
-            }
-        });
-        best = best.min(count);
-        if best == 0 {
-            break;
+    let best = fewest_allocations(|| {
+        for _ in 0..5 {
+            conv.forward_into(&x, Mode::Train, &mut out).unwrap();
         }
-    }
+    });
     assert_eq!(
         best, 0,
         "Conv2d::forward_into must not allocate once the workspace is warm"
@@ -112,21 +117,47 @@ fn conv2d_forward_is_allocation_free_after_the_first_batch() {
     let mut out = Tensor::default();
     quantized.forward_into(&x, Mode::Eval, &mut out).unwrap();
     let reference = out.clone();
-    let mut best = usize::MAX;
-    for _ in 0..10 {
-        let (count, ()) = allocations(|| {
-            for _ in 0..5 {
-                quantized.forward_into(&x, Mode::Eval, &mut out).unwrap();
-            }
-        });
-        best = best.min(count);
-        if best == 0 {
-            break;
+    let best = fewest_allocations(|| {
+        for _ in 0..5 {
+            quantized.forward_into(&x, Mode::Eval, &mut out).unwrap();
         }
-    }
+    });
     assert_eq!(
         best, 0,
         "an f16 Conv2d::forward_into must not allocate once warm"
     );
     assert_eq!(out, reference);
+
+    // A stack whose geometries alternate between the lowerings and group
+    // sizes: an ungrouped 16x16 layer, grouped 4x4 and 2x2 layers on the
+    // shifted-plane path and a stride-2 layer on the per-row path. They
+    // share one per-thread scratch, so once every layer has run, that
+    // scratch has its largest size and no call in any order may regrow it.
+    let mut stack: Vec<(Conv2d, Tensor, Tensor)> =
+        [(4, 8, 1, 16), (8, 16, 1, 4), (16, 16, 1, 2), (8, 8, 2, 16)]
+            .into_iter()
+            .map(|(in_ch, out_ch, stride, size)| {
+                let conv = Conv2d::new(in_ch, out_ch, 3, stride, 1, &mut rng);
+                let x = init::uniform(&[3, in_ch, size, size], -1.0, 1.0, &mut rng);
+                (conv, x, Tensor::default())
+            })
+            .collect();
+    for (conv, x, out) in &mut stack {
+        conv.forward_into(x, Mode::Eval, out).unwrap();
+    }
+    let references: Vec<Tensor> = stack.iter().map(|(_, _, out)| out.clone()).collect();
+    let best = fewest_allocations(|| {
+        for _ in 0..3 {
+            for (conv, x, out) in &mut stack {
+                conv.forward_into(x, Mode::Eval, out).unwrap();
+            }
+        }
+    });
+    assert_eq!(
+        best, 0,
+        "a warm stack of convolutions with different geometries must not allocate"
+    );
+    for ((_, _, out), reference) in stack.iter().zip(&references) {
+        assert_eq!(out, reference);
+    }
 }

@@ -50,8 +50,10 @@ fn temp_model(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-fn start_tiny(max_batch: usize, max_wait_ms: u64) -> (Server, SocketAddr, PathBuf) {
-    let path = temp_model("tiny.fitact");
+/// Saves the tiny model under `file` (one name per test, so no two tests
+/// share an artifact) and serves it.
+fn start_tiny(file: &str, max_batch: usize, max_wait_ms: u64) -> (Server, SocketAddr, PathBuf) {
+    let path = temp_model(file);
     tiny_artifact().save(&path).unwrap();
     let server = Server::start(
         &path,
@@ -69,7 +71,7 @@ fn start_tiny(max_batch: usize, max_wait_ms: u64) -> (Server, SocketAddr, PathBu
 
 #[test]
 fn routing_and_validation_errors() {
-    let (server, addr, _) = start_tiny(4, 5);
+    let (server, addr, _) = start_tiny("routing.fitact", 4, 5);
     // Unknown route.
     let (status, body) = http(addr, "GET", "/nope", "");
     assert_eq!(status, 404);
@@ -111,7 +113,7 @@ fn routing_and_validation_errors() {
 
 #[test]
 fn malformed_http_framing_is_answered_with_400() {
-    let (server, addr, _) = start_tiny(4, 5);
+    let (server, addr, _) = start_tiny("framing.fitact", 4, 5);
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -158,7 +160,7 @@ fn requests_followed_by_a_half_close_are_answered() {
 
 #[test]
 fn predict_after_shutdown_is_503_and_join_is_clean() {
-    let (server, addr, _) = start_tiny(4, 5);
+    let (server, addr, _) = start_tiny("shutdown.fitact", 4, 5);
     let (status, _) = http(addr, "POST", "/admin/shutdown", "");
     assert_eq!(status, 200);
     // Shutdown is idempotent and the server keeps answering its admin
@@ -264,7 +266,7 @@ fn invalid_configurations_are_rejected() {
 
 #[test]
 fn metrics_track_a_mixed_workload() {
-    let (server, addr, _) = start_tiny(2, 5);
+    let (server, addr, _) = start_tiny("metrics_mixed.fitact", 2, 5);
     let body = r#"{"inputs": [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13, 14, 15, 16]]}"#;
     let (status, response) = http(addr, "POST", "/predict", body);
     assert_eq!(status, 200);
@@ -305,7 +307,7 @@ fn metrics_track_a_mixed_workload() {
 
 #[test]
 fn metrics_reset_clears_latency_window_but_not_counters() {
-    let (server, addr, _) = start_tiny(4, 5);
+    let (server, addr, _) = start_tiny("metrics_reset.fitact", 4, 5);
     for _ in 0..3 {
         let (status, _) = http(addr, "POST", "/predict", r#"{"input": [1, 2, 3, 4]}"#);
         assert_eq!(status, 200);
@@ -356,7 +358,7 @@ fn metrics_reset_clears_latency_window_but_not_counters() {
 fn violation_telemetry_reports_clean_zeroes_for_an_unprotected_model() {
     // ReLU slots have no bounds, so every trace is clean — but the telemetry
     // block must still be present and well-formed for dashboards.
-    let (server, addr, _) = start_tiny(4, 5);
+    let (server, addr, _) = start_tiny("violations.fitact", 4, 5);
     let (status, _) = http(addr, "POST", "/predict", r#"{"input": [1, 2, 3, 4]}"#);
     assert_eq!(status, 200);
     let (_, metrics) = http(addr, "GET", "/metrics", "");
@@ -398,7 +400,7 @@ fn violation_telemetry_reports_clean_zeroes_for_an_unprotected_model() {
 
 #[test]
 fn reload_failure_keeps_the_old_model_serving() {
-    let (server, addr, path) = start_tiny(4, 5);
+    let (server, addr, path) = start_tiny("reload_failure.fitact", 4, 5);
     let (status, before) = http(addr, "POST", "/predict", r#"{"input": [1, 2, 3, 4]}"#);
     assert_eq!(status, 200);
     // Corrupt the on-disk artifact, then ask for a reload: it must fail

@@ -21,7 +21,14 @@
 //!   the exact contract (contents unspecified on entry, capacity never
 //!   shrinks, clones start empty),
 //! * allocation-free lowering primitives [`im2col_into`] / [`col2im_into`]
-//!   that write into caller-provided buffers,
+//!   that write into caller-provided buffers. `im2col_into` lowers a whole
+//!   group of images into side-by-side column blocks. Its geometry picks
+//!   the lowering: a stride-1 convolution whose output plane equals its
+//!   input plane builds each column-matrix row as one shifted copy of the
+//!   group's channel planes and then sets the taps outside the image to
+//!   `+0.0`; every other geometry copies one output row at a time. Both
+//!   copy values rather than compute them, so they write the same bits,
+//!   NaN payloads and `-0.0` included,
 //! * [`Shape`] — shape/stride bookkeeping shared by every tensor operation,
 //! * [`fixed::Fixed32`] — the 32-bit fixed-point representation used by the
 //!   paper (1 sign bit, 15 integer bits, 16 fractional bits) together with

@@ -753,97 +753,223 @@ pub fn im2col(
         stride,
         padding,
         &mut out,
-        (0, 1),
+        &mut [],
     )?;
     Tensor::from_vec(out, &[c * kh * kw, out_h * out_w])
 }
 
-/// Allocation-free core of [`im2col`]: lowers an image given as a raw
-/// `[channels, height, width]` slice into a caller-provided column buffer.
+/// Allocation-free core of [`im2col`]: lowers a group of images, given back
+/// to back as `[channels, height, width]` slices in `images`, into a
+/// caller-provided column buffer.
 ///
-/// `group = (index, len)` places the image among `len` images whose columns
-/// sit side by side: `out` is `[channels · kh · kw, len · out_h · out_w]` and
-/// this image fills columns `index · out_h · out_w ..` of every row, so one
-/// product can cover the whole group. `(0, 1)` writes a single image's
-/// `[channels · kh · kw, out_h · out_w]` matrix.
+/// The group's columns sit side by side, so one product can cover it: with
+/// `n` images, `out` is `[channels · kh · kw, n · out_h · out_w]` and image
+/// `s` fills columns `s · out_h · out_w ..` of every row. A single image
+/// gives its own `[channels · kh · kw, out_h · out_w]` matrix.
 ///
-/// Every element of this image's columns is overwritten, so the buffer does
-/// not need to be zeroed beforehand (padding positions are written as `0.0`).
+/// The geometry alone picks one of two lowerings, which write the same bits:
+///
+/// * stride 1 with an output plane equal to the input plane (`kh = kw =
+///   2 · padding + 1`): row `(ch, ky, kx)` is one contiguous copy of the
+///   group's channel-`ch` planes, shifted by `(ky − padding) · w + (kx −
+///   padding)`, after which the taps outside the image are set to `+0.0`.
+///   With more than one image the planes are first gathered channel-major
+///   into `staging`; a single image is read in place;
+/// * every other geometry copies one output row at a time.
+///
+/// Every element of `out` is overwritten, so it need not be zeroed. Values
+/// are copied, never computed: NaN payloads, infinities and `-0.0` pass
+/// through unchanged, and padding taps are `+0.0`.
+///
+/// `staging` must hold at least `images.len()` elements when the group has
+/// more than one image, and may be empty for a single image.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::InvalidShape`] if the kernel does not fit or
-/// `index >= len`, and [`TensorError::LengthMismatch`] if `image` does not
-/// match `image_dims` or `out` has the wrong length.
+/// Returns [`TensorError::InvalidShape`] if the kernel does not fit or the
+/// images have no elements, and [`TensorError::LengthMismatch`] if `images`
+/// is not a whole, non-empty number of images or `out` or `staging` has the
+/// wrong length.
 pub fn im2col_into(
-    image: &[f32],
+    images: &[f32],
     image_dims: (usize, usize, usize),
     kernel: (usize, usize),
     stride: usize,
     padding: usize,
     out: &mut [f32],
-    group: (usize, usize),
+    staging: &mut [f32],
 ) -> Result<(), TensorError> {
     let (c, h, w) = image_dims;
     let (kh, kw) = kernel;
-    let (index, len) = group;
     let (out_h, out_w) = conv_output_size((h, w), kernel, stride, padding)?;
-    if index >= len {
-        return Err(TensorError::InvalidShape(vec![index, len]));
+    let image_len = c * h * w;
+    if image_len == 0 {
+        return Err(TensorError::InvalidShape(vec![c, h, w]));
     }
-    if image.len() != c * h * w {
+    if images.is_empty() || !images.len().is_multiple_of(image_len) {
         return Err(TensorError::LengthMismatch {
-            expected: c * h * w,
-            actual: image.len(),
+            expected: image_len,
+            actual: images.len(),
         });
     }
-    let cols = out_h * out_w;
-    if out.len() != c * kh * kw * len * cols {
+    let n = images.len() / image_len;
+    let row_len = n * out_h * out_w;
+    if out.len() != c * kh * kw * row_len {
         return Err(TensorError::LengthMismatch {
-            expected: c * kh * kw * len * cols,
+            expected: c * kh * kw * row_len,
             actual: out.len(),
         });
     }
-    let row_len = len * cols;
-    for ch in 0..c {
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = (ch * kh + ky) * kw + kx;
-                let base = row * row_len + index * cols;
-                for oy in 0..out_h {
-                    let iy = (oy * stride + ky) as isize - padding as isize;
-                    let out_row = &mut out[base + oy * out_w..base + (oy + 1) * out_w];
-                    if iy < 0 || iy >= h as isize {
-                        out_row.fill(0.0);
-                        continue;
-                    }
-                    let src_row =
-                        &image[(ch * h + iy as usize) * w..(ch * h + iy as usize + 1) * w];
-                    if stride == 1 {
-                        // Contiguous fast path: one bounds computation, then a
-                        // straight copy of the in-image span.
-                        let ix0 = kx as isize - padding as isize;
-                        let start = (-ix0).clamp(0, out_w as isize) as usize;
-                        let end = ((w as isize - ix0).clamp(0, out_w as isize) as usize).max(start);
-                        out_row[..start].fill(0.0);
-                        out_row[end..].fill(0.0);
-                        let src0 = (ix0 + start as isize) as usize;
-                        out_row[start..end].copy_from_slice(&src_row[src0..src0 + (end - start)]);
-                    } else {
-                        for (ox, o) in out_row.iter_mut().enumerate() {
-                            let ix = (ox * stride + kx) as isize - padding as isize;
-                            *o = if ix >= 0 && ix < w as isize {
-                                src_row[ix as usize]
-                            } else {
-                                0.0
-                            };
+    if n > 1 && staging.len() < images.len() {
+        return Err(TensorError::LengthMismatch {
+            expected: images.len(),
+            actual: staging.len(),
+        });
+    }
+    if stride != 1 || (out_h, out_w) != (h, w) {
+        lower_rows(
+            images,
+            image_dims,
+            kernel,
+            stride,
+            padding,
+            (out_h, out_w),
+            out,
+        );
+        return Ok(());
+    }
+    let planes = if n == 1 {
+        images
+    } else {
+        // Channel-major staging: channel `ch` of image `s` at plane
+        // `ch · n + s`, so each channel's planes are contiguous across the
+        // group.
+        let plane = h * w;
+        let staging = &mut staging[..images.len()];
+        for (s, image) in images.chunks_exact(image_len).enumerate() {
+            for (ch, src) in image.chunks_exact(plane).enumerate() {
+                staging[(ch * n + s) * plane..(ch * n + s + 1) * plane].copy_from_slice(src);
+            }
+        }
+        &*staging
+    };
+    lower_shifted_planes(planes, (h, w), kernel, padding, out, n);
+    Ok(())
+}
+
+/// The stride-1, same-plane lowering of [`im2col_into`]: `planes` holds each
+/// channel's `n` planes contiguously, channel by channel.
+///
+/// With output plane = input plane, output position `j` of row `(ch, ky,
+/// kx)` reads plane element `j + (ky − padding) · w + (kx − padding)`
+/// whenever its tap lies inside the image, so the row is one shifted copy.
+/// Taps outside the image would read a neighbouring row or plane instead;
+/// they are overwritten with `+0.0` afterwards: `|ky − padding|` plane rows
+/// at the top or bottom of every plane, and `|kx − padding|` columns at the
+/// left or right of every plane row.
+fn lower_shifted_planes(
+    planes: &[f32],
+    (h, w): (usize, usize),
+    (kh, kw): (usize, usize),
+    padding: usize,
+    out: &mut [f32],
+    n: usize,
+) {
+    let plane = h * w;
+    let row_len = n * plane;
+    for (row, dst) in out.chunks_exact_mut(row_len).enumerate() {
+        let (ch, ky, kx) = (row / (kh * kw), row / kw % kh, row % kw);
+        let src = &planes[ch * row_len..(ch + 1) * row_len];
+        let dy = ky as isize - padding as isize;
+        let dx = kx as isize - padding as isize;
+        shifted_copy(src, dst, dy * w as isize + dx);
+        let rows_out = dy.unsigned_abs().min(h);
+        let row_taps = if dy < 0 {
+            0..rows_out * w
+        } else {
+            (h - rows_out) * w..plane
+        };
+        for i in row_taps {
+            dst[i..].iter_mut().step_by(plane).for_each(|v| *v = 0.0);
+        }
+        let cols_out = dx.unsigned_abs().min(w);
+        let col_taps = if dx < 0 { 0..cols_out } else { w - cols_out..w };
+        for i in col_taps {
+            dst[i..].iter_mut().step_by(w).for_each(|v| *v = 0.0);
+        }
+    }
+}
+
+/// Sets `dst[j] = src[j + shift]` where that index lies in `src` (of
+/// `dst`'s length) and `+0.0` elsewhere.
+fn shifted_copy(src: &[f32], dst: &mut [f32], shift: isize) {
+    let len = dst.len() as isize;
+    let lo = (-shift).clamp(0, len);
+    let hi = (len - shift).clamp(lo, len);
+    let (lo, hi) = (lo as usize, hi as usize);
+    dst[..lo].fill(0.0);
+    dst[hi..].fill(0.0);
+    if lo < hi {
+        let from = (lo as isize + shift) as usize;
+        dst[lo..hi].copy_from_slice(&src[from..from + (hi - lo)]);
+    }
+}
+
+/// The general lowering of [`im2col_into`]: one output row of one image at
+/// a time, for strided or non-"same" geometries.
+fn lower_rows(
+    images: &[f32],
+    (c, h, w): (usize, usize, usize),
+    (kh, kw): (usize, usize),
+    stride: usize,
+    padding: usize,
+    (out_h, out_w): (usize, usize),
+    out: &mut [f32],
+) {
+    let cols = out_h * out_w;
+    let row_len = images.len() / (c * h * w) * cols;
+    for (index, image) in images.chunks_exact(c * h * w).enumerate() {
+        for ch in 0..c {
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let row = (ch * kh + ky) * kw + kx;
+                    let base = row * row_len + index * cols;
+                    for oy in 0..out_h {
+                        let iy = (oy * stride + ky) as isize - padding as isize;
+                        let out_row = &mut out[base + oy * out_w..base + (oy + 1) * out_w];
+                        if iy < 0 || iy >= h as isize {
+                            out_row.fill(0.0);
+                            continue;
+                        }
+                        let src_row =
+                            &image[(ch * h + iy as usize) * w..(ch * h + iy as usize + 1) * w];
+                        if stride == 1 {
+                            // Contiguous fast path: one bounds computation,
+                            // then a straight copy of the in-image span.
+                            let ix0 = kx as isize - padding as isize;
+                            let start = (-ix0).clamp(0, out_w as isize) as usize;
+                            let end =
+                                ((w as isize - ix0).clamp(0, out_w as isize) as usize).max(start);
+                            out_row[..start].fill(0.0);
+                            out_row[end..].fill(0.0);
+                            let src0 = (ix0 + start as isize) as usize;
+                            out_row[start..end]
+                                .copy_from_slice(&src_row[src0..src0 + (end - start)]);
+                        } else {
+                            for (ox, o) in out_row.iter_mut().enumerate() {
+                                let ix = (ox * stride + kx) as isize - padding as isize;
+                                *o = if ix >= 0 && ix < w as isize {
+                                    src_row[ix as usize]
+                                } else {
+                                    0.0
+                                };
+                            }
                         }
                     }
                 }
             }
         }
     }
-    Ok(())
 }
 
 /// Inverse of [`im2col`]: scatters a `[channels * kh * kw, out_h * out_w]`
@@ -946,7 +1072,8 @@ pub fn col2im_into(
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidShape`] if the window does not fit the padded
-/// input at least once or `stride == 0`.
+/// input at least once, `stride == 0`, or the padded input size overflows
+/// `usize`.
 pub fn conv_output_size(
     input: (usize, usize),
     kernel: (usize, usize),
@@ -955,15 +1082,18 @@ pub fn conv_output_size(
 ) -> Result<(usize, usize), TensorError> {
     let (h, w) = input;
     let (kh, kw) = kernel;
-    if stride == 0 || h + 2 * padding < kh || w + 2 * padding < kw {
-        return Err(TensorError::InvalidShape(vec![
-            h, w, kh, kw, stride, padding,
-        ]));
+    let invalid = || TensorError::InvalidShape(vec![h, w, kh, kw, stride, padding]);
+    // `padding` can come straight from a model file, so the padded extent
+    // must not wrap.
+    let padded = |n: usize| padding.checked_mul(2).and_then(|p| n.checked_add(p));
+    let (padded_h, padded_w) = (
+        padded(h).ok_or_else(invalid)?,
+        padded(w).ok_or_else(invalid)?,
+    );
+    if stride == 0 || padded_h < kh || padded_w < kw {
+        return Err(invalid());
     }
-    Ok((
-        (h + 2 * padding - kh) / stride + 1,
-        (w + 2 * padding - kw) / stride + 1,
-    ))
+    Ok(((padded_h - kh) / stride + 1, (padded_w - kw) / stride + 1))
 }
 
 #[cfg(test)]
@@ -1247,43 +1377,227 @@ mod tests {
     #[test]
     fn into_variants_validate_lengths() {
         let mut small = vec![0.0f32; 3];
-        assert!(im2col_into(&[1.0; 4], (1, 2, 2), (1, 1), 1, 0, &mut small, (0, 1)).is_err());
+        assert!(im2col_into(&[1.0; 4], (1, 2, 2), (1, 1), 1, 0, &mut small, &mut []).is_err());
         assert!(col2im_into(&[1.0; 4], (1, 2, 2), (1, 1), 1, 0, &mut small).is_err());
+        let mut out = vec![0.0f32; 8];
+        // Not a whole number of images, no images, and a group of two
+        // without room to stage it.
+        assert!(im2col_into(&[1.0; 6], (1, 2, 2), (1, 1), 1, 0, &mut out, &mut [0.0; 8]).is_err());
+        assert!(im2col_into(&[], (1, 2, 2), (1, 1), 1, 0, &mut out, &mut [0.0; 8]).is_err());
+        assert!(im2col_into(&[1.0; 8], (1, 2, 2), (1, 1), 1, 0, &mut out, &mut [0.0; 7]).is_err());
+        assert!(im2col_into(&[1.0; 8], (1, 2, 2), (1, 1), 1, 0, &mut out, &mut [0.0; 8]).is_ok());
     }
 
     #[test]
     fn im2col_group_places_each_image_in_its_column_block() {
-        // Three 2-channel 4x4 images, 3x3 kernel, stride 2, padding 1: each
-        // image's 4 output positions land in its own block of every row.
+        // Three 2-channel 4x4 images, 3x3 kernel, padding 1: each image's
+        // output positions land in its own block of every row, at stride 2
+        // (per-row lowering) and stride 1 (shifted-plane lowering).
         let images: Vec<Tensor> = (0..3)
             .map(|i| {
                 let data = (0..32).map(|v| (v * 7 + i * 5) as f32).collect();
                 Tensor::from_vec(data, &[2, 4, 4]).unwrap()
             })
             .collect();
-        let mut grouped = vec![f32::NAN; 18 * 3 * 4];
-        for (index, image) in images.iter().enumerate() {
+        let batch: Vec<f32> = images.iter().flat_map(|i| i.as_slice().to_vec()).collect();
+        for (stride, cols) in [(2, 4), (1, 16)] {
+            let mut grouped = vec![f32::NAN; 18 * 3 * cols];
+            let mut staging = vec![f32::NAN; batch.len()];
             im2col_into(
-                image.as_slice(),
+                &batch,
                 (2, 4, 4),
                 (3, 3),
-                2,
+                stride,
                 1,
                 &mut grouped,
-                (index, 3),
+                &mut staging,
             )
             .unwrap();
+            for (index, image) in images.iter().enumerate() {
+                let single = im2col(image, (3, 3), stride, 1).unwrap();
+                for (row, expected) in single.as_slice().chunks_exact(cols).enumerate() {
+                    let start = (row * 3 + index) * cols;
+                    let block = &grouped[start..start + cols];
+                    assert_eq!(block, expected, "stride {stride} image {index} row {row}");
+                }
+            }
+            let mut short = vec![0.0; 18 * 2 * cols];
+            assert!(im2col_into(
+                &batch,
+                (2, 4, 4),
+                (3, 3),
+                stride,
+                1,
+                &mut short,
+                &mut staging
+            )
+            .is_err());
         }
-        for (index, image) in images.iter().enumerate() {
-            let single = im2col(image, (3, 3), 2, 1).unwrap();
-            for (row, expected) in single.as_slice().chunks_exact(4).enumerate() {
-                let block = &grouped[row * 12 + index * 4..row * 12 + index * 4 + 4];
-                assert_eq!(block, expected, "image {index} row {row}");
+    }
+
+    /// The per-output-row lowering every geometry used before the shifted-
+    /// plane path: image `index` of a `len`-image group, one output row at a
+    /// time.
+    fn per_row_reference(
+        image: &[f32],
+        (c, h, w): (usize, usize, usize),
+        (kh, kw): (usize, usize),
+        stride: usize,
+        padding: usize,
+        out: &mut [f32],
+        (index, len): (usize, usize),
+    ) {
+        let (out_h, out_w) = conv_output_size((h, w), (kh, kw), stride, padding).unwrap();
+        let cols = out_h * out_w;
+        let row_len = len * cols;
+        for ch in 0..c {
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let row = (ch * kh + ky) * kw + kx;
+                    let base = row * row_len + index * cols;
+                    for oy in 0..out_h {
+                        let iy = (oy * stride + ky) as isize - padding as isize;
+                        let out_row = &mut out[base + oy * out_w..base + (oy + 1) * out_w];
+                        if iy < 0 || iy >= h as isize {
+                            out_row.fill(0.0);
+                            continue;
+                        }
+                        let src_row =
+                            &image[(ch * h + iy as usize) * w..(ch * h + iy as usize + 1) * w];
+                        for (ox, o) in out_row.iter_mut().enumerate() {
+                            let ix = (ox * stride + kx) as isize - padding as isize;
+                            *o = if ix >= 0 && ix < w as isize {
+                                src_row[ix as usize]
+                            } else {
+                                0.0
+                            };
+                        }
+                    }
+                }
             }
         }
-        let image = images[0].as_slice();
-        assert!(im2col_into(image, (2, 4, 4), (3, 3), 2, 1, &mut grouped, (3, 3)).is_err());
-        assert!(im2col_into(image, (2, 4, 4), (3, 3), 2, 1, &mut grouped, (0, 2)).is_err());
+    }
+
+    /// Lowers `images` in groups of `group` (the last one ragged) and
+    /// compares each group's column matrix with the per-row reference bit
+    /// for bit. Returns the number of groups compared.
+    fn compare_groups_with_reference(
+        images: &[f32],
+        (c, h, w): (usize, usize, usize),
+        k: usize,
+        stride: usize,
+        padding: usize,
+        group: usize,
+    ) -> usize {
+        let image_len = c * h * w;
+        let (out_h, out_w) = conv_output_size((h, w), (k, k), stride, padding).unwrap();
+        // Neither buffer needs clearing: every element must be overwritten.
+        let garbage = f32::from_bits(0x7fba_dbad);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut compared = 0;
+        for group_images in images.chunks(group * image_len) {
+            let g = group_images.len() / image_len;
+            let mut out = vec![garbage; c * k * k * g * out_h * out_w];
+            let mut staging = vec![garbage; if g == 1 { 0 } else { group_images.len() }];
+            im2col_into(
+                group_images,
+                (c, h, w),
+                (k, k),
+                stride,
+                padding,
+                &mut out,
+                &mut staging,
+            )
+            .unwrap();
+            let mut expected = vec![garbage; out.len()];
+            for (s, image) in group_images.chunks_exact(image_len).enumerate() {
+                per_row_reference(
+                    image,
+                    (c, h, w),
+                    (k, k),
+                    stride,
+                    padding,
+                    &mut expected,
+                    (s, g),
+                );
+            }
+            assert_eq!(
+                bits(&out),
+                bits(&expected),
+                "{c}x{h}x{w} k{k} s{stride} p{padding}, group of {g}"
+            );
+            compared += 1;
+        }
+        compared
+    }
+
+    #[test]
+    fn grouped_im2col_is_bit_identical_to_the_per_row_reference() {
+        // Values a fault can produce: NaN payloads of both signs, ±∞ and
+        // −0.0, scattered among ordinary values.
+        let salts = [
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xff80_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+        ];
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        // Seven images, so groups of 3 and most `nn_group_len` groups end
+        // ragged.
+        let batch = 7;
+        let planes = [
+            (1, 1),
+            (2, 2),
+            (1, 3),
+            (3, 1),
+            (2, 5),
+            (5, 3),
+            (4, 4),
+            (7, 6),
+            (8, 8),
+        ];
+        let mut compared = 0;
+        for (h, w) in planes {
+            for c in [1, 3] {
+                let images: Vec<f32> = (0..batch * c * h * w)
+                    .map(|_| match next() {
+                        r if r % 8 == 0 => salts[(r >> 8) as usize % salts.len()],
+                        r => (r >> 40) as f32 / (1u64 << 22) as f32 - 2.0,
+                    })
+                    .collect();
+                let geometries = [1, 3, 5].into_iter().flat_map(|k| {
+                    [1, 2]
+                        .into_iter()
+                        .flat_map(move |s| (0..=2).map(move |p| (k, s, p)))
+                });
+                for (k, stride, padding) in geometries {
+                    let Ok((out_h, out_w)) = conv_output_size((h, w), (k, k), stride, padding)
+                    else {
+                        continue;
+                    };
+                    let nn = crate::matmul::nn_group_len(8, c * k * k, out_h * out_w);
+                    for group in [1, 3, nn] {
+                        compared += compare_groups_with_reference(
+                            &images,
+                            (c, h, w),
+                            k,
+                            stride,
+                            padding,
+                            group,
+                        );
+                    }
+                }
+            }
+        }
+        assert!(compared > 500, "only {compared} groups compared");
     }
 
     #[test]
@@ -1368,6 +1682,17 @@ mod tests {
         assert_eq!(conv_output_size((5, 5), (3, 3), 2, 0).unwrap(), (2, 2));
         assert!(conv_output_size((2, 2), (3, 3), 1, 0).is_err());
         assert!(conv_output_size((4, 4), (3, 3), 0, 0).is_err());
+    }
+
+    #[test]
+    fn conv_output_size_rejects_a_padding_that_overflows() {
+        // 32 + 2·2⁶³ wraps to 32 in unchecked arithmetic.
+        assert!(matches!(
+            conv_output_size((32, 32), (3, 3), 1, 1 << 63),
+            Err(TensorError::InvalidShape(_))
+        ));
+        assert!(conv_output_size((32, 32), (3, 3), 1, usize::MAX).is_err());
+        assert!(conv_output_size((usize::MAX, 1), (1, 1), 1, 1).is_err());
     }
 
     #[test]
