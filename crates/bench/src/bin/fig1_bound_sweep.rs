@@ -10,9 +10,9 @@
 //!
 //! The fault rate is scaled so the *expected number of bit flips* in the two
 //! targeted layers matches what the paper's full-width VGG16 would see at
-//! 1e-5 (see EXPERIMENTS.md).
+//! 1e-5 (see "Fault-rate scaling" in `docs/deviations.md`).
 
-use fitact::GbRelu;
+use fitact::BoundedRelu;
 use fitact_bench::report::Table;
 use fitact_bench::setup::{prepare_model, ExperimentScale};
 use fitact_data::DatasetKind;
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut network = prepared.network.clone();
         {
             let mut slots = network.activation_slots();
-            slots[VGG16_SECOND_ACT_SLOT].replace_activation(Box::new(GbRelu::new(bound)));
+            slots[VGG16_SECOND_ACT_SLOT].replace_activation(Box::new(BoundedRelu::clip_act(bound)));
         }
         // Fault-free accuracy with this bound installed (shows the accuracy
         // loss when the bound is too small).

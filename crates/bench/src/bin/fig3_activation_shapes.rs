@@ -5,7 +5,7 @@
 //! (matching the qualitative panels of the paper's Fig. 3) and writes the
 //! series to `target/experiments/fig3_activation_shapes.csv`.
 
-use fitact::{FitRelu, FitReluNaive, GbRelu};
+use fitact::{BoundedRelu, FitRelu};
 use fitact_bench::report::Table;
 use fitact_nn::{Activation, ReLU};
 
@@ -13,8 +13,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lambda = 4.0f32;
     let slope = 8.0f32;
     let relu = ReLU::new();
-    let gbrelu = GbRelu::new(lambda);
-    let naive = FitReluNaive::from_bounds(&[lambda]);
+    let gbrelu = BoundedRelu::clip_act(lambda);
+    let naive = BoundedRelu::per_neuron(&[lambda]);
     let fitrelu = FitRelu::from_bounds(&[lambda], slope);
 
     let mut table = Table::new(

@@ -4,8 +4,10 @@
 //! For each (scheme, fault-rate) pair the binary runs a fault-injection
 //! campaign and prints the per-trial accuracy spread (min / q1 / median / q3 /
 //! max), i.e. the data behind the paper's box plots. Fault rates are the
-//! paper's nominal rates scaled so the expected number of bit flips matches
-//! the full-width VGG16 (see EXPERIMENTS.md).
+//! paper's nominal per-bit rates times `ExperimentScale::rate_scale()`: 1 by
+//! default, which keeps the *fraction* of bits flipped, not their count;
+//! `FITACT_RATE_SCALE` overrides it (see "Fault-rate scaling" in
+//! `docs/deviations.md`).
 
 use fitact::ProtectionScheme;
 use fitact_bench::report::Table;

@@ -4,8 +4,10 @@
 //!
 //! This is the paper's headline comparison grid. One row is printed per
 //! (dataset, architecture, scheme, fault rate) combination; rates are the
-//! paper's nominal rates scaled per architecture so that the expected number
-//! of bit flips matches the full-width model (see EXPERIMENTS.md).
+//! paper's nominal per-bit rates times `ExperimentScale::rate_scale()`, one
+//! factor for every architecture: 1 by default, which keeps the *fraction* of
+//! bits flipped, not their count; `FITACT_RATE_SCALE` overrides it (see
+//! "Fault-rate scaling" in `docs/deviations.md`).
 //!
 //! Campaigns run through the statistical engine: every point runs its full
 //! fixed trial budget (the mean-accuracy column keeps the fixed-count

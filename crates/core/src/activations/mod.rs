@@ -1,27 +1,19 @@
 //! Protected activation functions.
 //!
-//! All four bounded activations studied in the paper are implemented against
-//! the [`fitact_nn::Activation`] trait so they can be dropped into any
+//! The bounded activations studied in the paper are implemented against the
+//! [`fitact_nn::Activation`] trait so they can be dropped into any
 //! [`fitact_nn::layers::ActivationLayer`] slot of a trained network:
 //!
 //! | Type | Paper | Bound granularity | Out-of-bound behaviour |
 //! |---|---|---|---|
-//! | [`GbRelu`] | Eq. 4, Clip-Act \[18\] | one λ per layer | squash to zero |
-//! | [`Ranger`] | Ranger \[16\] | one λ per layer | truncate to λ |
-//! | [`FitReluNaive`] | Eq. 5 | one λ per neuron | squash to zero |
+//! | [`BoundedRelu`]: [`clip_act`](BoundedRelu::clip_act), [`ranger`](BoundedRelu::ranger), [`per_channel`](BoundedRelu::per_channel), [`per_neuron`](BoundedRelu::per_neuron) | Eq. 4 (Clip-Act \[18\]), Ranger \[16\], ablation, Eq. 5 | one λ per layer, layer, channel, neuron | squash to zero; Ranger truncates to λ |
 //! | [`FitRelu`] | Eq. 6 | one λ per neuron (trainable) | smooth squash to zero |
 
-mod channel_relu;
+mod bounded_relu;
 mod fitrelu;
-mod fitrelu_naive;
-mod gbrelu;
-mod ranger;
 
-pub use channel_relu::ChannelRelu;
+pub use bounded_relu::BoundedRelu;
 pub use fitrelu::FitRelu;
-pub use fitrelu_naive::FitReluNaive;
-pub use gbrelu::GbRelu;
-pub use ranger::Ranger;
 
 /// Default slope coefficient `k` of the trainable FitReLU (paper Eq. 6 leaves
 /// it "empirically computed"; this value gives a near-hard cutoff while still
@@ -50,9 +42,9 @@ mod tests {
     fn bounded_activations_share_the_basic_contract() {
         let bound = 2.0f32;
         let acts: Vec<Box<dyn Activation>> = vec![
-            Box::new(GbRelu::new(bound)),
-            Box::new(Ranger::new(bound)),
-            Box::new(FitReluNaive::from_bounds(&[bound, bound])),
+            Box::new(BoundedRelu::clip_act(bound)),
+            Box::new(BoundedRelu::ranger(bound)),
+            Box::new(BoundedRelu::per_neuron(&[bound, bound])),
             Box::new(FitRelu::from_bounds(&[bound, bound], DEFAULT_SLOPE)),
         ];
         for act in acts {
@@ -73,12 +65,9 @@ mod tests {
     #[test]
     fn ranger_truncates_while_others_squash() {
         let bound = 2.0f32;
-        assert_eq!(Ranger::new(bound).eval_scalar(10.0, 0), bound);
-        assert_eq!(GbRelu::new(bound).eval_scalar(10.0, 0), 0.0);
-        assert_eq!(
-            FitReluNaive::from_bounds(&[bound]).eval_scalar(10.0, 0),
-            0.0
-        );
+        assert_eq!(BoundedRelu::ranger(bound).eval_scalar(10.0, 0), bound);
+        assert_eq!(BoundedRelu::clip_act(bound).eval_scalar(10.0, 0), 0.0);
+        assert_eq!(BoundedRelu::per_neuron(&[bound]).eval_scalar(10.0, 0), 0.0);
         assert!(FitRelu::from_bounds(&[bound], DEFAULT_SLOPE).eval_scalar(10.0, 0) < 0.01);
     }
 }

@@ -6,11 +6,13 @@
 //! Post-Trainable Activation Functions"* (Ghavami, Sadati, Fang, Shannon) on
 //! top of the [`fitact_nn`] substrate:
 //!
-//! * [`activations`] — the protected activation functions: the layer-wise
-//!   globally bounded ReLU ([`GbRelu`], used by Clip-Act), the range-restriction
-//!   variant used by Ranger ([`Ranger`]), the hard per-neuron bound
-//!   ([`FitReluNaive`], paper Eq. 5) and the trainable smooth per-neuron bound
-//!   ([`FitRelu`], paper Eq. 6),
+//! * [`activations`] — the protected activation functions: one hard-bounded
+//!   [`BoundedRelu`] with four constructors — the layer-wise globally bounded
+//!   ReLU of Clip-Act ([`BoundedRelu::clip_act`], paper Eq. 4), Ranger's
+//!   range restriction ([`BoundedRelu::ranger`]), one bound per channel
+//!   ([`BoundedRelu::per_channel`]) and the hard per-neuron bound
+//!   ([`BoundedRelu::per_neuron`], paper Eq. 5) — and the trainable smooth
+//!   per-neuron bound ([`FitRelu`], paper Eq. 6),
 //! * [`calibration`] — profiling of per-neuron / per-layer maximum activations
 //!   over a calibration set (paper Fig. 2, and the bound initialisation of the
 //!   FitAct workflow),
@@ -64,7 +66,7 @@ pub mod protect;
 pub mod resilience;
 pub mod serialize;
 
-pub use activations::{ChannelRelu, FitRelu, FitReluNaive, GbRelu, Ranger};
+pub use activations::{BoundedRelu, FitRelu};
 pub use calibration::{ActivationProfile, ActivationProfiler, SlotProfile};
 pub use framework::{
     assess_resilience, FitAct, FitActConfig, PostTrainReport, ResilientModel, TrainingReport,

@@ -79,7 +79,7 @@ mod tests {
     use super::*;
     use crate::calibration::ActivationProfiler;
     use crate::protect::{apply_protection, ProtectionScheme};
-    use fitact_nn::layers::{ActivationLayer, Linear, Sequential};
+    use fitact_nn::layers::{ActivationLayer, Conv2d, Flatten, Linear, Sequential};
     use fitact_tensor::init;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -107,23 +107,63 @@ mod tests {
         assert!((model.total_mb() - 325.0 * 4.0 / 1e6).abs() < 1e-12);
     }
 
+    /// A convolution slot of 3 channels × 4×4 (48 neurons) and a dense slot
+    /// of 10 neurons; 602 base words.
+    fn conv_net() -> Network {
+        let mut rng = StdRng::seed_from_u64(0);
+        Network::new(
+            "conv",
+            Sequential::new()
+                .with(Box::new(Conv2d::new(2, 3, 3, 1, 1, &mut rng)))
+                .with(Box::new(ActivationLayer::relu("c", &[3, 4, 4])))
+                .with(Box::new(Flatten::new()))
+                .with(Box::new(Linear::new(48, 10, &mut rng)))
+                .with(Box::new(ActivationLayer::relu("h", &[10])))
+                .with(Box::new(Linear::new(10, 5, &mut rng))),
+        )
+    }
+
     #[test]
     fn fitact_adds_exactly_one_word_per_neuron() {
-        let mut net = mlp();
+        let mut net = conv_net();
         let mut rng = StdRng::seed_from_u64(1);
-        let inputs = init::uniform(&[16, 10], -1.0, 1.0, &mut rng);
+        let inputs = init::uniform(&[16, 2, 4, 4], -1.0, 1.0, &mut rng);
         let profile = ActivationProfiler::new(8)
             .unwrap()
             .profile(&mut net, &inputs)
             .unwrap();
-        apply_protection(&mut net, &profile, ProtectionScheme::FitAct { slope: 8.0 }).unwrap();
-        let model = MemoryModel::of_network(&net);
-        assert_eq!(model.base_words, 325);
-        assert_eq!(model.bound_words, 20);
-        let expected_overhead = 100.0 * 20.0 / 325.0;
-        assert!((model.overhead_percent() - expected_overhead).abs() < 1e-9);
-        assert!(model.total_bytes() > model.base_bytes());
-        assert!(model.base_mb() < model.total_mb());
+        // Layer bounds are constants, not `lambda` parameters, so they add no
+        // word to Table I (or to the fault space). Channel bounds add one
+        // word per channel (3 + 10), neuron bounds one per neuron (48 + 10).
+        for (scheme, bound_words) in [
+            (ProtectionScheme::Unprotected, 0),
+            (ProtectionScheme::ClipAct, 0),
+            (ProtectionScheme::Ranger, 0),
+            (ProtectionScheme::ClipActPerChannel, 13),
+            (ProtectionScheme::FitAct { slope: 8.0 }, 58),
+            (ProtectionScheme::FitActNaive, 58),
+        ] {
+            let mut protected = net.clone();
+            apply_protection(&mut protected, &profile, scheme).unwrap();
+            let model = MemoryModel::of_network(&protected);
+            assert_eq!(model.base_words, 602, "{scheme}");
+            assert_eq!(model.bound_words, bound_words, "{scheme}");
+            let expected_overhead = 100.0 * bound_words as f64 / 602.0;
+            assert!(
+                (model.overhead_percent() - expected_overhead).abs() < 1e-9,
+                "{scheme}"
+            );
+            assert_eq!(
+                model.total_bytes() > model.base_bytes(),
+                bound_words > 0,
+                "{scheme}"
+            );
+            assert_eq!(
+                model.base_mb() < model.total_mb(),
+                bound_words > 0,
+                "{scheme}"
+            );
+        }
     }
 
     #[test]

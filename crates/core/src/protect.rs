@@ -1,6 +1,6 @@
 //! Applying protection schemes to a trained network.
 
-use crate::activations::{ChannelRelu, FitRelu, FitReluNaive, GbRelu, Ranger, DEFAULT_SLOPE};
+use crate::activations::{BoundedRelu, FitRelu, DEFAULT_SLOPE};
 use crate::calibration::ActivationProfile;
 use crate::FitActError;
 use fitact_nn::{Network, ReLU};
@@ -141,10 +141,10 @@ pub fn apply_protection(
                 slot.replace_activation(Box::new(ReLU::new()));
             }
             ProtectionScheme::Ranger => {
-                slot.replace_activation(Box::new(Ranger::new(layer_bound)));
+                slot.replace_activation(Box::new(BoundedRelu::ranger(layer_bound)));
             }
             ProtectionScheme::ClipAct => {
-                slot.replace_activation(Box::new(GbRelu::new(layer_bound)));
+                slot.replace_activation(Box::new(BoundedRelu::clip_act(layer_bound)));
             }
             ProtectionScheme::ClipActPerChannel => {
                 // One bound per leading feature dimension (the channel for
@@ -161,7 +161,7 @@ pub fn apply_protection(
                     let channel = (i / plane).min(channels - 1);
                     bounds[channel] = bounds[channel].max(v);
                 }
-                slot.replace_activation(Box::new(ChannelRelu::from_bounds(&bounds, plane)));
+                slot.replace_activation(Box::new(BoundedRelu::per_channel(&bounds, plane)));
             }
             ProtectionScheme::FitAct { slope } => {
                 let bounds = floored_bounds(&slot_profile.per_neuron_max);
@@ -169,7 +169,7 @@ pub fn apply_protection(
             }
             ProtectionScheme::FitActNaive => {
                 let bounds = floored_bounds(&slot_profile.per_neuron_max);
-                slot.replace_activation(Box::new(FitReluNaive::from_bounds(&bounds)));
+                slot.replace_activation(Box::new(BoundedRelu::per_neuron(&bounds)));
             }
         }
     }

@@ -13,7 +13,7 @@
 //! instantiates bound-carrying activations with placeholder zeros of the
 //! recorded size.
 
-use crate::activations::{ChannelRelu, FitRelu, FitReluNaive, GbRelu, Ranger};
+use crate::activations::{BoundedRelu, FitRelu};
 use fitact_nn::spec::{ActivationBuilder, ActivationSpec};
 use fitact_nn::{Activation, NnError, ReLU};
 
@@ -34,12 +34,18 @@ impl ActivationBuilder for ProtectedActivations {
     fn build_activation(&self, spec: &ActivationSpec) -> Result<Box<dyn Activation>, NnError> {
         match spec.kind.as_str() {
             "relu" => Ok(Box::new(ReLU::new())),
-            "gbrelu" => Ok(Box::new(GbRelu::new(finite_bound(spec, 0)?))),
-            "ranger" => Ok(Box::new(Ranger::new(finite_bound(spec, 0)?))),
+            "gbrelu" => Ok(Box::new(BoundedRelu::clip_act(finite_bound(spec, 0)?))),
+            "ranger" => Ok(Box::new(BoundedRelu::ranger(finite_bound(spec, 0)?))),
             "channel_relu" => {
                 let channels = nonzero_count(spec, 0, "channels")?;
                 let plane = nonzero_count(spec, 1, "plane")?;
-                Ok(Box::new(ChannelRelu::from_bounds(
+                if channels.checked_mul(plane).is_none() {
+                    return Err(NnError::InvalidConfig(format!(
+                        "activation spec `channel_relu` has {channels} channels of {plane} \
+                         values, more features than the address space holds"
+                    )));
+                }
+                Ok(Box::new(BoundedRelu::per_channel(
                     &vec![0.0; channels],
                     plane,
                 )))
@@ -56,7 +62,7 @@ impl ActivationBuilder for ProtectedActivations {
             }
             "fitrelu_naive" => {
                 let neurons = nonzero_count(spec, 0, "neurons")?;
-                Ok(Box::new(FitReluNaive::from_bounds(&vec![0.0; neurons])))
+                Ok(Box::new(BoundedRelu::per_neuron(&vec![0.0; neurons])))
             }
             other => Err(NnError::InvalidConfig(format!(
                 "unknown activation kind `{other}`"
@@ -66,7 +72,8 @@ impl ActivationBuilder for ProtectedActivations {
 }
 
 /// Reads `spec.floats[i]` and validates it as a finite non-negative bound
-/// (what [`GbRelu::new`] / [`Ranger::new`] would otherwise panic on).
+/// (what [`BoundedRelu::clip_act`] / [`BoundedRelu::ranger`] would otherwise
+/// panic on).
 fn finite_bound(spec: &ActivationSpec, i: usize) -> Result<f32, NnError> {
     let bound = spec.float(i)?;
     if !(bound.is_finite() && bound >= 0.0) {
@@ -107,11 +114,11 @@ mod tests {
     fn builder_reconstructs_every_kind() {
         let originals: Vec<Box<dyn Activation>> = vec![
             Box::new(ReLU::new()),
-            Box::new(GbRelu::new(3.5)),
-            Box::new(Ranger::new(2.25)),
-            Box::new(ChannelRelu::from_bounds(&[1.0, 2.0], 4)),
+            Box::new(BoundedRelu::clip_act(3.5)),
+            Box::new(BoundedRelu::ranger(2.25)),
+            Box::new(BoundedRelu::per_channel(&[1.0, 2.0], 4)),
             Box::new(FitRelu::from_bounds(&[1.0, 2.0, 3.0], 8.0)),
-            Box::new(FitReluNaive::from_bounds(&[0.5])),
+            Box::new(BoundedRelu::per_neuron(&[0.5])),
         ];
         for original in originals {
             let spec = original.spec().unwrap();
@@ -129,7 +136,7 @@ mod tests {
     #[test]
     fn layer_bounds_round_trip_through_the_spec_bit_exactly() {
         let bound = f32::from_bits(0x4049_0FDB); // π, not representable in short decimal
-        let spec = GbRelu::new(bound).spec().unwrap();
+        let spec = BoundedRelu::clip_act(bound).spec().unwrap();
         let rebuilt = ProtectedActivations.build_activation(&spec).unwrap();
         assert_eq!(rebuilt.eval_scalar(bound, 0), bound);
         assert_eq!(
@@ -162,6 +169,11 @@ mod tests {
                 kind: "channel_relu".into(),
                 floats: vec![],
                 ints: vec![2], // missing plane
+            },
+            ActivationSpec {
+                kind: "channel_relu".into(),
+                floats: vec![],
+                ints: vec![4, 1 << 62], // channels × plane overflows usize
             },
         ];
         for spec in cases {

@@ -13,7 +13,7 @@
 //! the Q15.16 fixed-point word (`fitact_tensor::fixed`) and a fault flips a
 //! high integer bit of the stored representation.
 
-use fitact::{ChannelRelu, FitRelu, FitReluNaive, GbRelu, Ranger};
+use fitact::{BoundedRelu, FitRelu};
 use fitact_nn::layers::{ActivationLayer, Layer, Mode};
 use fitact_nn::trace::{self, ViolationTrace};
 use fitact_nn::Activation;
@@ -24,11 +24,11 @@ use fitact_tensor::Tensor;
 /// threshold it is configured to enforce (features per sample = 4).
 fn bounded_activations() -> Vec<(&'static str, Box<dyn Activation>, Vec<f32>)> {
     vec![
-        ("gbrelu", Box::new(GbRelu::new(2.0)), vec![2.0; 4]),
-        ("ranger", Box::new(Ranger::new(2.0)), vec![2.0; 4]),
+        ("gbrelu", Box::new(BoundedRelu::clip_act(2.0)), vec![2.0; 4]),
+        ("ranger", Box::new(BoundedRelu::ranger(2.0)), vec![2.0; 4]),
         (
             "fitrelu_naive",
-            Box::new(FitReluNaive::from_bounds(&[1.0, 2.0, 3.0, 4.0])),
+            Box::new(BoundedRelu::per_neuron(&[1.0, 2.0, 3.0, 4.0])),
             vec![1.0, 2.0, 3.0, 4.0],
         ),
         (
@@ -40,7 +40,7 @@ fn bounded_activations() -> Vec<(&'static str, Box<dyn Activation>, Vec<f32>)> {
             // Two channels of two spatial positions each: effective
             // per-element bounds [1, 1, 3, 3].
             "channel_relu",
-            Box::new(ChannelRelu::from_bounds(&[1.0, 3.0], 2)),
+            Box::new(BoundedRelu::per_channel(&[1.0, 3.0], 2)),
             vec![1.0, 1.0, 3.0, 3.0],
         ),
     ]

@@ -3,7 +3,7 @@
 //! and bit-identity between the vectorised forward pass, the scalar reference
 //! path, and the hard FitReLU-Naive clamp outside the smoothing band.
 
-use fitact::{FitRelu, FitReluNaive};
+use fitact::{BoundedRelu, FitRelu};
 use fitact_nn::Activation;
 use fitact_tensor::Tensor;
 use proptest::prelude::*;
@@ -109,7 +109,7 @@ proptest! {
         slope in 1.0f32..32.0,
     ) {
         let mut smooth = FitRelu::from_bounds(&[lambda0, lambda1], slope);
-        let mut hard = FitReluNaive::from_bounds(&[lambda0, lambda1]);
+        let mut hard = BoundedRelu::per_neuron(&[lambda0, lambda1]);
         let input = Tensor::from_vec(vec![x0, x1, x2, x3], &[2, 2]).unwrap();
         let smooth_out = smooth.forward(&input).unwrap();
         let hard_out = hard.forward(&input).unwrap();
@@ -142,7 +142,7 @@ proptest! {
         let above_band = x >= lambda + 104.0 / slope;
         prop_assume!(below_band || above_band);
         let smooth = FitRelu::from_bounds(&[lambda], slope);
-        let hard = FitReluNaive::from_bounds(&[lambda]);
+        let hard = BoundedRelu::per_neuron(&[lambda]);
         prop_assert_eq!(
             smooth.eval_scalar(x, 0).to_bits(),
             hard.eval_scalar(x, 0).to_bits(),

@@ -3,8 +3,9 @@
 //! Activation functions are the heart of the FitAct paper: protection schemes
 //! differ *only* in which activation function they install after each
 //! convolutional / fully-connected layer. This module defines the [`Activation`]
-//! trait that the `fitact` crate implements for GBReLU, Clip-Act, Ranger,
-//! FitReLU-Naive and FitReLU, plus the ordinary [`ReLU`] baseline.
+//! trait that the `fitact` crate implements for its hard-bounded ReLU
+//! (Clip-Act's GBReLU, Ranger, per-channel bounds and FitReLU-Naive) and for
+//! the trainable FitReLU, plus the ordinary [`ReLU`] baseline.
 
 use crate::{NnError, Parameter};
 use fitact_tensor::Tensor;
@@ -66,8 +67,8 @@ pub trait Activation: fmt::Debug + Send + Sync {
     /// activation's protection bound — the detection events of the FitAct
     /// model, where a clamped value is evidence of a fault.
     ///
-    /// Bounded activations (GBReLU, Ranger, ChannelReLU, FitReLU and its
-    /// naive variant) override this; the default — for unbounded activations
+    /// Bounded activations (the `fitact` crate's `BoundedRelu` and `FitRelu`)
+    /// override this; the default — for unbounded activations
     /// like plain [`ReLU`], which detect nothing — reports zero. Wrapper
     /// activations (profilers, fault injectors) must delegate to their inner
     /// activation so detection telemetry survives wrapping.

@@ -241,62 +241,6 @@ mod avx {
         }
         sum
     }
-
-    /// In-place `x if lo-exclusive < x ≤ bound else 0`, per-element bound.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support; `bounds.len() == values.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn bounded_relu_rows(values: &mut [f32], bounds: &[f32]) {
-        let n = values.len();
-        let n8 = n & !7;
-        let zero = _mm256_setzero_ps();
-        let mut i = 0;
-        while i < n8 {
-            let v = _mm256_loadu_ps(values.as_ptr().add(i));
-            let b = _mm256_loadu_ps(bounds.as_ptr().add(i));
-            // (x > 0) & (x ≤ b); NaN compares false on both, so NaN → 0,
-            // matching the scalar leg's else-branch.
-            let keep = _mm256_and_ps(
-                _mm256_cmp_ps(v, zero, _CMP_GT_OQ),
-                _mm256_cmp_ps(v, b, _CMP_LE_OQ),
-            );
-            _mm256_storeu_ps(values.as_mut_ptr().add(i), _mm256_and_ps(v, keep));
-            i += 8;
-        }
-        for t in n8..n {
-            let x = values[t];
-            values[t] = if x > 0.0 && x <= bounds[t] { x } else { 0.0 };
-        }
-    }
-
-    /// In-place clamp to `[lo, hi]` with `f32::clamp` NaN semantics (NaN
-    /// passes through unchanged).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn clamp_rows(values: &mut [f32], lo: f32, hi: f32) {
-        let n = values.len();
-        let n8 = n & !7;
-        let lo_v = _mm256_set1_ps(lo);
-        let hi_v = _mm256_set1_ps(hi);
-        let mut i = 0;
-        while i < n8 {
-            let v = _mm256_loadu_ps(values.as_ptr().add(i));
-            // blend keeps v where the compare is false — NaN keeps v, unlike
-            // min/max whose NaN behaviour differs from Rust's clamp.
-            let r = _mm256_blendv_ps(v, lo_v, _mm256_cmp_ps(v, lo_v, _CMP_LT_OQ));
-            let r = _mm256_blendv_ps(r, hi_v, _mm256_cmp_ps(v, hi_v, _CMP_GT_OQ));
-            _mm256_storeu_ps(values.as_mut_ptr().add(i), r);
-            i += 8;
-        }
-        for v in values[n8..n].iter_mut() {
-            *v = v.clamp(lo, hi);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -638,73 +582,6 @@ fn kernel_threads(m: usize, k: usize, n: usize) -> usize {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Bounded-activation kernels.
-// ---------------------------------------------------------------------------
-
-/// In-place bounded ReLU with one bound per trailing-dimension position:
-/// `x if 0 < x ≤ bounds[i mod bounds.len()] else 0` (NaN → 0).
-///
-/// # Panics
-///
-/// Panics if `bounds` is empty or `values.len()` is not a multiple of
-/// `bounds.len()`.
-pub fn bounded_relu_per_neuron(values: &mut [f32], bounds: &[f32]) {
-    assert!(!bounds.is_empty(), "bounds must be non-empty");
-    assert_eq!(
-        values.len() % bounds.len(),
-        0,
-        "values must be whole rows of bounds"
-    );
-    for row in values.chunks_mut(bounds.len()) {
-        #[cfg(target_arch = "x86_64")]
-        if simd_active() {
-            // SAFETY: simd_active() verified AVX2; lengths match.
-            unsafe { avx::bounded_relu_rows(row, bounds) };
-            continue;
-        }
-        for (v, &b) in row.iter_mut().zip(bounds) {
-            *v = if *v > 0.0 && *v <= b { *v } else { 0.0 };
-        }
-    }
-}
-
-/// In-place bounded ReLU with a single shared bound:
-/// `x if 0 < x ≤ bound else 0` (NaN → 0).
-pub fn bounded_relu_uniform(values: &mut [f32], bound: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        let uniform = [bound; 8];
-        let n8 = values.len() & !7;
-        let (head, tail) = values.split_at_mut(n8);
-        for row in head.chunks_mut(8) {
-            // SAFETY: simd_active() verified AVX2; row length is 8.
-            unsafe { avx::bounded_relu_rows(row, &uniform) };
-        }
-        for v in tail {
-            *v = if *v > 0.0 && *v <= bound { *v } else { 0.0 };
-        }
-        return;
-    }
-    for v in values {
-        *v = if *v > 0.0 && *v <= bound { *v } else { 0.0 };
-    }
-}
-
-/// In-place clamp to `[lo, hi]` with `f32::clamp` semantics (NaN passes
-/// through unchanged).
-pub fn clamp_in_place(values: &mut [f32], lo: f32, hi: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: simd_active() verified AVX2.
-        unsafe { avx::clamp_rows(values, lo, hi) };
-        return;
-    }
-    for v in values {
-        *v = v.clamp(lo, hi);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -840,47 +717,6 @@ mod tests {
             matmul_i8(&x, &q, &scales, &zps, None, &mut serial, m, k, n);
         });
         assert_eq!(threaded, serial);
-    }
-
-    #[test]
-    fn bounded_relu_per_neuron_matches_scalar_semantics() {
-        let bounds = [1.0f32, 2.0, 0.5];
-        let mut values = vec![
-            0.5,
-            1.5,
-            0.4, // row 0: keep, keep, keep
-            1.5,
-            2.5,
-            0.6, // row 1: squash, squash, squash
-            -1.0,
-            0.0,
-            f32::NAN, // row 2: squash, squash, NaN → 0
-        ];
-        bounded_relu_per_neuron(&mut values, &bounds);
-        assert_eq!(values, vec![0.5, 1.5, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn bounded_relu_uniform_handles_tails_and_nan() {
-        let mut values: Vec<f32> = (0..11).map(|i| i as f32 - 3.0).collect();
-        values[10] = f32::NAN;
-        bounded_relu_uniform(&mut values, 5.0);
-        assert_eq!(
-            values,
-            vec![0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 0.0]
-        );
-    }
-
-    #[test]
-    fn clamp_in_place_keeps_nan_like_f32_clamp() {
-        let mut values = vec![-2.0, 0.5, 7.0, f32::NAN, -0.0, 3.0, 1.0, 2.0, 9.0];
-        clamp_in_place(&mut values, 0.0, 3.0);
-        assert_eq!(values[0], 0.0);
-        assert_eq!(values[1], 0.5);
-        assert_eq!(values[2], 3.0);
-        assert!(values[3].is_nan(), "NaN passes through, as f32::clamp does");
-        assert_eq!(values[4].to_bits(), (-0.0f32).to_bits());
-        assert_eq!(values[8], 3.0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! fault-free accuracy against fault coverage, while per-neuron bounds avoid
 //! the trade-off.
 
-use fitact::{apply_protection, ActivationProfiler, GbRelu, ProtectionScheme};
+use fitact::{apply_protection, ActivationProfiler, BoundedRelu, ProtectionScheme};
 use fitact_data::{materialize, Blobs, BlobsConfig};
 use fitact_faults::{quantize_network, Campaign, CampaignConfig};
 use fitact_nn::layers::{ActivationLayer, Linear, Sequential};
@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for step in 1..=8 {
         let bound = slot.layer_max * step as f32 / 4.0;
         let mut candidate = network.clone();
-        candidate.activation_slots()[0].replace_activation(Box::new(GbRelu::new(bound)));
+        candidate.activation_slots()[0].replace_activation(Box::new(BoundedRelu::clip_act(bound)));
         let fault_free = candidate.evaluate(&test_x, &test_y, 64)?;
         let result = Campaign::new(&mut candidate, &test_x, &test_y)?.run(&campaign_config)?;
         println!(

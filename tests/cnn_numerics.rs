@@ -8,7 +8,8 @@
 //! `Bottleneck`, with SplitMix64 parameters and inputs, runs eval-mode
 //! forwards at batch 32 and batch 1, and compares an FNV-1a hash of the
 //! output bits with values recorded before the convolution lowering was
-//! rewritten.
+//! rewritten. The VGG16 is also protected by each hard-bounded scheme, and
+//! the hash of its saved artifact is pinned with its logits.
 //!
 //! Nothing here calls libm: the Box–Muller initialisers and the synthetic
 //! datasets do, so every parameter the model constructors draw is
@@ -16,6 +17,8 @@
 //! arithmetic is IEEE-754 `+`, `·`, `÷` and `sqrt`, which every host rounds
 //! alike.
 
+use fitact::{apply_protection, ActivationProfiler, ProtectionScheme};
+use fitact_io::ModelArtifact;
 use fitact_nn::layers::Bottleneck;
 use fitact_nn::models::{alexnet, vgg16, ModelConfig};
 use fitact_nn::{Layer, Mode, Parameter};
@@ -74,6 +77,13 @@ fn hash_bits(t: &Tensor) -> u64 {
     })
 }
 
+/// FNV-1a over `bytes`, as [`hash_bits`] hashes an element's bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Hashes of `forward`'s outputs for the whole `input` and for its first
 /// sample alone.
 fn hashes(mut forward: impl FnMut(&Tensor) -> Tensor, input: &Tensor) -> (u64, u64) {
@@ -122,6 +132,45 @@ fn vgg16_logits_match_the_recorded_bits() {
 }
 
 #[test]
+fn hard_bounded_schemes_match_the_recorded_bits() {
+    // Calibrate on the first 8 inputs, then make the first convolution
+    // weight fault-sized, so that every scheme both squashes (or truncates)
+    // values above its bounds and passes values below them.
+    let mut rng = SplitMix64(0x7661);
+    let mut base = vgg16(&tiny()).unwrap();
+    fill(base.params_mut(), &mut rng);
+    let x = rng.tensor(&[32, 3, 32, 32], -1.0, 1.0);
+    let calibration =
+        Tensor::from_vec(x.as_slice()[..8 * 3 * 32 * 32].to_vec(), &[8, 3, 32, 32]).unwrap();
+    let profile = ActivationProfiler::new(8)
+        .unwrap()
+        .profile(&mut base, &calibration)
+        .unwrap();
+    let first_weight = &mut base.params_mut()[0];
+    assert_eq!(first_weight.name(), "weight");
+    first_weight.data_mut().as_mut_slice()[0] = 4096.0;
+    for (scheme, expected) in [
+        (ProtectionScheme::ClipAct, CLIPACT),
+        (ProtectionScheme::Ranger, RANGER),
+        (ProtectionScheme::ClipActPerChannel, CLIPACT_PER_CHANNEL),
+        (ProtectionScheme::FitActNaive, FITACT_NAIVE),
+    ] {
+        let mut net = base.clone();
+        apply_protection(&mut net, &profile, scheme).unwrap();
+        let (batch, single) = hashes(|x| net.forward(x, Mode::Eval).unwrap(), &x);
+        let artifact = ModelArtifact::capture_protected(&net, Some(&profile), Some(scheme))
+            .unwrap()
+            .to_bytes();
+        let got = (batch, single, fnv1a(&artifact));
+        assert_eq!(
+            got, expected,
+            "{scheme}: (batch 32, batch 1, artifact) = ({:#018x}, {:#018x}, {:#018x})",
+            got.0, got.1, got.2
+        );
+    }
+}
+
+#[test]
 fn strided_bottleneck_output_matches_the_recorded_bits() {
     // A downsampling block: its 3x3 and shortcut convolutions have stride 2
     // and take the per-row lowering, its 1x1 convolutions the shifted-plane
@@ -144,3 +193,27 @@ fn strided_bottleneck_output_matches_the_recorded_bits() {
 const ALEXNET: (u64, u64) = (0x6882_0617_be81_0349, 0x7f81_f40f_3613_bef9);
 const VGG16: (u64, u64) = (0xad14_f502_bbac_56f2, 0x6f58_bb2f_1182_feda);
 const BOTTLENECK: (u64, u64) = (0xc8bc_b802_90eb_6d10, 0xfbf4_38a3_bc26_8d10);
+
+// Recorded from the four separate hard-bounded activation types (Clip-Act's
+// GBReLU, Ranger, per-channel and per-neuron ReLUs), with the bounded-ReLU
+// kernels they dispatched to, before they became one `BoundedRelu`.
+const CLIPACT: (u64, u64, u64) = (
+    0xd1e4_99ab_bfbe_e99c,
+    0x8116_d11e_c53f_5fd8,
+    0xe790_7bcd_0db2_523d,
+);
+const RANGER: (u64, u64, u64) = (
+    0xb2dc_56ec_33a7_18ef,
+    0x185d_cea8_07ff_d78d,
+    0xbada_603f_fe4c_a65e,
+);
+const CLIPACT_PER_CHANNEL: (u64, u64, u64) = (
+    0x592b_9169_6ad6_b4e4,
+    0x74d9_29ad_6ac7_1939,
+    0xf67b_6b4a_5a1a_c6f4,
+);
+const FITACT_NAIVE: (u64, u64, u64) = (
+    0x2ced_745e_0332_cb1b,
+    0xcaf1_7252_eae8_04ce,
+    0xcd92_8244_d2e1_1695,
+);
