@@ -348,7 +348,6 @@ fn emit_connection_scaling_json(smoke: bool) -> String {
         &path,
         &ServeConfig {
             max_batch: 32,
-            max_wait: Duration::from_millis(1),
             workers: 2,
             max_connections: 1024, // room for the 512-connection case
             max_queue: 4096,

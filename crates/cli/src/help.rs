@@ -170,8 +170,9 @@ FLAGS:
                          positional form)
     --host ADDR          bind address                     [default: 127.0.0.1]
     --port N             bind port; 0 picks an ephemeral port [default: 8080]
-    --max-batch N        rows coalesced per forward pass  [default: 8]
-    --max-wait-ms N      batching window in milliseconds  [default: 5]
+    --max-batch N        most rows one forward pass coalesces; a free
+                         worker takes whatever is queued, up to this
+                         [default: 8]
     --workers N          worker threads (warm model clones) [default: 2]
     --input-shape DIMS   per-sample input shape, e.g. 3x32x32
                          [default: inferred from the artifact]

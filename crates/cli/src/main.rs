@@ -78,7 +78,7 @@ PIPELINE COMMANDS:
 SERVING:
     serve        Micro-batched HTTP inference server over an artifact
                  (<model.fitact> or --model; --host, --port, --max-batch,
-                  --max-wait-ms, --workers, --input-shape, --max-body-bytes;
+                  --workers, --input-shape, --max-body-bytes;
                   endpoints /predict /healthz /metrics /admin/reload
                   /admin/shutdown)
 

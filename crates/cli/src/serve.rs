@@ -19,7 +19,6 @@ pub const SERVE_FLAGS: &[&str] = &[
     "host",
     "port",
     "max-batch",
-    "max-wait-ms",
     "workers",
     "input-shape",
     "max-body-bytes",
@@ -67,7 +66,6 @@ pub fn serve(raw: &[String]) -> Result<JsonValue, CliError> {
     let config = ServeConfig {
         addr: format!("{host}:{port}"),
         max_batch: args.parse_or("max-batch", defaults.max_batch)?,
-        max_wait: Duration::from_millis(args.parse_or("max-wait-ms", 5u64)?),
         workers: args.parse_or("workers", defaults.workers)?,
         input_shape: match args.get("input-shape") {
             None => None,
@@ -97,6 +95,7 @@ pub fn serve(raw: &[String]) -> Result<JsonValue, CliError> {
                 ))
             })?),
         },
+        ..defaults
     };
     let server =
         Server::start(model, &config).map_err(|e| format!("cannot serve `{model}`: {e}"))?;
@@ -108,10 +107,6 @@ pub fn serve(raw: &[String]) -> Result<JsonValue, CliError> {
         (
             "max_batch".into(),
             JsonValue::Number(config.max_batch as f64),
-        ),
-        (
-            "max_wait_ms".into(),
-            JsonValue::Number(config.max_wait.as_millis() as f64),
         ),
         ("workers".into(), JsonValue::Number(config.workers as f64)),
         (

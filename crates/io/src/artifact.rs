@@ -706,6 +706,60 @@ fn spec_param_numel(spec: &LayerSpec) -> Option<u128> {
     }
 }
 
+/// Refuses an activation slot whose activation carries a different feature
+/// count than the slot's `feature_shape`: such a network would instantiate
+/// and then fail every forward. The feature-bound kinds carry their count
+/// in `ints` (`channel_relu`: channels × plane, `fitrelu` and
+/// `fitrelu_naive`: neurons); layer-bound kinds fit any shape, and a
+/// missing count is left to the builder's own typed error.
+fn check_slot_widths(spec: &LayerSpec) -> Result<(), IoError> {
+    match spec {
+        LayerSpec::Activation {
+            label,
+            feature_shape,
+            activation,
+        } => {
+            let ints = &activation.ints;
+            let carried = match activation.kind.as_str() {
+                "channel_relu" => ints
+                    .first()
+                    .zip(ints.get(1))
+                    .map(|(&c, &p)| c as u128 * p as u128),
+                "fitrelu" | "fitrelu_naive" => ints.first().map(|&n| n as u128),
+                _ => None,
+            };
+            let slot = feature_shape
+                .iter()
+                .try_fold(1u128, |acc, &d| acc.checked_mul(d as u128));
+            match carried {
+                Some(carried) if Some(carried) != slot => Err(IoError::Mismatch(format!(
+                    "activation slot `{label}` has feature shape {feature_shape:?}, but its \
+                     `{}` activation carries {carried} features",
+                    activation.kind
+                ))),
+                _ => Ok(()),
+            }
+        }
+        LayerSpec::Linear { .. }
+        | LayerSpec::Conv2d { .. }
+        | LayerSpec::BatchNorm2d { .. }
+        | LayerSpec::Dropout { .. }
+        | LayerSpec::Flatten
+        | LayerSpec::MaxPool2d { .. }
+        | LayerSpec::GlobalAvgPool => Ok(()),
+        LayerSpec::Sequential(children) => children.iter().try_for_each(check_slot_widths),
+        LayerSpec::Bottleneck {
+            main,
+            shortcut,
+            final_act,
+        } => main
+            .iter()
+            .chain(shortcut.iter().flatten())
+            .chain(std::iter::once(final_act.as_ref()))
+            .try_for_each(check_slot_widths),
+    }
+}
+
 /// Restores a parameter snapshot-compatible tensor from a [`SavedParam`].
 pub fn saved_param_tensor(p: &SavedParam) -> Result<Tensor, IoError> {
     Tensor::from_vec(p.data.clone(), &p.dims)
@@ -1084,6 +1138,7 @@ pub(crate) fn instantiate_with(
             source.total_values()
         )));
     }
+    layers.iter().try_for_each(check_slot_widths)?;
     let mut network = Network::from_spec(name, layers, &ProtectedActivations)?;
     let mut index = 0usize;
     let mut failure: Option<IoError> = None;
@@ -1450,6 +1505,58 @@ mod tests {
             },
         };
         assert!(matches!(artifact.instantiate(), Err(IoError::Mismatch(_))));
+    }
+
+    #[test]
+    fn activation_whose_width_disagrees_with_its_slot_is_rejected() {
+        use fitact::{BoundedRelu, FitRelu};
+        use fitact_nn::Activation;
+        let slot_of = |activation: Box<dyn Activation>| {
+            let mut rng = StdRng::seed_from_u64(2);
+            let net = Network::new(
+                "slot",
+                Sequential::new()
+                    .with(Box::new(Linear::new(3, 4, &mut rng)))
+                    .with(Box::new(ActivationLayer::with_activation(
+                        "h",
+                        &[4],
+                        activation,
+                    ))),
+            );
+            ModelArtifact::capture(&net).unwrap()
+        };
+        // Each activation carries as many λ words as its spec claims, so the
+        // parameter-count guard passes; only the width check stops a network
+        // whose every forward would fail.
+        let misfits: Vec<(&str, Box<dyn Activation>)> = vec![
+            (
+                "channel_relu",
+                Box::new(BoundedRelu::per_channel(&[1.0; 4], 2)),
+            ),
+            ("fitrelu", Box::new(FitRelu::from_bounds(&[1.0; 5], 8.0))),
+            (
+                "fitrelu_naive",
+                Box::new(BoundedRelu::per_neuron(&[1.0; 5])),
+            ),
+        ];
+        for (kind, activation) in misfits {
+            match slot_of(activation).instantiate() {
+                Err(IoError::Mismatch(msg)) => {
+                    assert!(msg.contains("`h`") && msg.contains(kind), "{msg}");
+                }
+                other => panic!("{kind} in a [4] slot: expected a Mismatch, got {other:?}"),
+            }
+        }
+        // Matching widths, and layer-bound kinds at any width, still load.
+        let fits: Vec<Box<dyn Activation>> = vec![
+            Box::new(BoundedRelu::per_channel(&[1.0; 2], 2)),
+            Box::new(FitRelu::from_bounds(&[1.0; 4], 8.0)),
+            Box::new(BoundedRelu::per_neuron(&[1.0; 4])),
+            Box::new(BoundedRelu::ranger(1.0)),
+        ];
+        for activation in fits {
+            slot_of(activation).instantiate().unwrap();
+        }
     }
 
     #[test]

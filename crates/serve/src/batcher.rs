@@ -2,18 +2,18 @@
 //!
 //! Requests from any number of connection threads enqueue individual sample
 //! rows; worker threads drain them in coalesced batches. The scheduling rule
-//! is the classic dynamic-batching trade-off:
+//! is **work-conserving**:
 //!
-//! * a worker that finds the queue non-empty waits until either
-//!   `max_batch` rows are pending **or** the oldest pending row has waited
-//!   `max_wait`, whichever comes first, then drains up to `max_batch` rows
-//!   in arrival order;
+//! * a worker that finds rows queued drains up to `max_batch` of them at
+//!   once, in arrival order — no row waits while a worker is idle;
 //! * an idle worker blocks on the queue condition variable, so an empty
 //!   server burns no CPU.
 //!
-//! `max_wait` therefore bounds the queueing latency a lone request can pay
-//! waiting for company, while `max_batch` bounds how much work one forward
-//! pass coalesces. See `docs/serving.md` for the latency/throughput model.
+//! Batches therefore grow only while every worker is busy: rows that
+//! arrive during a forward pass queue up and leave together in the next
+//! batch. A lone request costs its forward pass and nothing more;
+//! `max_batch` bounds how much work one forward pass coalesces. See
+//! `docs/serving.md` for the latency/throughput model.
 //!
 //! The queue is also the shutdown rendezvous: [`BatchQueue::shutdown`] wakes
 //! every waiter, rejects new rows, and lets workers drain what is already
@@ -82,28 +82,31 @@ pub struct BatchQueue {
     state: Mutex<QueueState>,
     cond: Condvar,
     max_batch: usize,
-    max_wait: Duration,
     max_queue: usize,
 }
 
 impl BatchQueue {
-    /// Creates a queue that coalesces up to `max_batch` rows, holding the
-    /// first row of a batch at most `max_wait`, and refusing new work
-    /// beyond `max_queue` pending rows (backpressure — an unbounded queue
-    /// would just convert overload into unbounded latency and memory).
+    /// Creates a queue that coalesces up to `max_batch` rows and refuses
+    /// new work beyond `max_queue` pending rows (backpressure — an
+    /// unbounded queue would just convert overload into unbounded latency
+    /// and memory).
+    ///
+    /// `_max_wait` is ignored: the queue has no batch window. The parameter
+    /// remains only so that the benchmark harness under `perfbench/`, which
+    /// passes `ServeConfig::max_wait` here, keeps compiling; it goes once
+    /// that harness stops passing it.
     ///
     /// # Panics
     ///
     /// Panics if `max_batch == 0` or `max_queue == 0` (the server validates
     /// its configuration before construction).
-    pub fn new(max_batch: usize, max_wait: Duration, max_queue: usize) -> Self {
+    pub fn new(max_batch: usize, _max_wait: Duration, max_queue: usize) -> Self {
         assert!(max_batch > 0, "max_batch must be non-zero");
         assert!(max_queue > 0, "max_queue must be non-zero");
         BatchQueue {
             state: Mutex::new(QueueState::default()),
             cond: Condvar::new(),
             max_batch,
-            max_wait,
             max_queue,
         }
     }
@@ -134,50 +137,19 @@ impl BatchQueue {
         Ok(())
     }
 
-    /// Blocks until a batch is ready and drains it (arrival order, at most
-    /// `max_batch` rows). Returns `None` once the queue is shut down *and*
-    /// drained — the worker's signal to exit.
+    /// Blocks until at least one row is queued, then drains every queued
+    /// row up to `max_batch`, in arrival order. Returns `None` once the
+    /// queue is shut down *and* drained — the worker's signal to exit.
     pub fn next_batch(&self) -> Option<Vec<PendingRow>> {
         let mut state = self.state.lock().expect("queue lock poisoned");
-        loop {
-            // Phase 1: wait for the queue to be non-empty (or shutdown).
-            while state.pending.is_empty() {
-                if state.shutdown {
-                    return None;
-                }
-                state = self.cond.wait(state).expect("queue lock poisoned");
+        while state.pending.is_empty() {
+            if state.shutdown {
+                return None;
             }
-            // Phase 2: the batch window. Wait for the batch to fill, but no
-            // longer than `max_wait` past the oldest row's enqueue time.
-            let deadline = state.pending[0].enqueued + self.max_wait;
-            loop {
-                if state.pending.len() >= self.max_batch || state.shutdown {
-                    break;
-                }
-                let now = Instant::now();
-                let Some(remaining) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                let (next, _) = self
-                    .cond
-                    .wait_timeout(state, remaining)
-                    .expect("queue lock poisoned");
-                state = next;
-                if state.pending.is_empty() {
-                    // Another worker drained the batch while this one slept;
-                    // go back to waiting for fresh rows.
-                    break;
-                }
-            }
-            if state.pending.is_empty() {
-                continue;
-            }
-            let take = self.max_batch.min(state.pending.len());
-            return Some(state.pending.drain(..take).collect());
+            state = self.cond.wait(state).expect("queue lock poisoned");
         }
+        let take = self.max_batch.min(state.pending.len());
+        Some(state.pending.drain(..take).collect())
     }
 
     /// Rejects new rows and wakes every waiter. Workers drain what is
@@ -211,48 +183,64 @@ mod tests {
         }
     }
 
-    #[test]
-    fn full_batch_drains_without_waiting_out_the_window() {
-        let queue = BatchQueue::new(4, Duration::from_secs(60), 64);
-        let (tx, _rx) = mpsc::channel();
-        queue.push((0..4).map(|i| row(i, &tx)).collect()).unwrap();
-        let start = Instant::now();
-        let batch = queue.next_batch().unwrap();
-        assert_eq!(batch.len(), 4);
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "a full batch must not wait for the window"
-        );
-        assert_eq!(queue.depth(), 0);
+    fn indices(batch: &[PendingRow]) -> Vec<usize> {
+        batch.iter().map(|r| r.row).collect()
     }
 
     #[test]
-    fn partial_batch_released_at_deadline() {
-        let queue = BatchQueue::new(8, Duration::from_millis(30), 64);
-        let (tx, _rx) = mpsc::channel();
-        queue.push(vec![row(0, &tx), row(1, &tx)]).unwrap();
-        let start = Instant::now();
-        let batch = queue.next_batch().unwrap();
-        assert_eq!(batch.len(), 2);
-        assert!(
-            start.elapsed() >= Duration::from_millis(25),
-            "a partial batch waits for the window to close"
-        );
+    fn queued_rows_drain_at_once_up_to_max_batch_in_arrival_order() {
+        // `k` single-row pushes made before any worker asks: the first
+        // batch takes min(k, max_batch) of them, the next batch the rest —
+        // batches grow exactly while no worker is waiting. The 60 s
+        // `max_wait` is ignored, so not even a lone row (k = 1) is held
+        // back for company.
+        let max_batch = 4;
+        for k in 1..=2 * max_batch {
+            let queue = BatchQueue::new(max_batch, Duration::from_secs(60), 64);
+            let (tx, _rx) = mpsc::channel();
+            for i in 0..k {
+                queue.push(vec![row(i, &tx)]).unwrap();
+            }
+            let start = Instant::now();
+            let first = k.min(max_batch);
+            assert_eq!(
+                indices(&queue.next_batch().unwrap()),
+                (0..first).collect::<Vec<_>>(),
+                "k = {k}"
+            );
+            if k > max_batch {
+                assert_eq!(
+                    indices(&queue.next_batch().unwrap()),
+                    (max_batch..k).collect::<Vec<_>>(),
+                    "k = {k}"
+                );
+            }
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "k = {k}: queued rows must not wait for company"
+            );
+            assert_eq!(queue.depth(), 0, "k = {k}");
+        }
     }
 
     #[test]
     fn oversized_request_splits_into_max_batch_chunks() {
-        let queue = BatchQueue::new(4, Duration::from_millis(5), 64);
+        let queue = BatchQueue::new(4, Duration::ZERO, 64);
         let (tx, _rx) = mpsc::channel();
         queue.push((0..10).map(|i| row(i, &tx)).collect()).unwrap();
-        let sizes: Vec<usize> = (0..3).map(|_| queue.next_batch().unwrap().len()).collect();
-        assert_eq!(sizes, vec![4, 4, 2]);
+        let batches: Vec<Vec<usize>> = (0..3)
+            .map(|_| indices(&queue.next_batch().unwrap()))
+            .collect();
         // Arrival order is preserved across the split.
+        assert_eq!(
+            batches,
+            vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]]
+        );
     }
 
     #[test]
     fn shutdown_drains_then_stops() {
-        let queue = BatchQueue::new(4, Duration::from_secs(60), 64);
+        let queue = BatchQueue::new(4, Duration::ZERO, 64);
         let (tx, _rx) = mpsc::channel();
         queue.push(vec![row(0, &tx)]).unwrap();
         queue.shutdown();
@@ -261,14 +249,14 @@ mod tests {
             Err(PushRejected::ShuttingDown(rows)) => assert_eq!(rows.len(), 1),
             other => panic!("expected a shutdown rejection, got {other:?}"),
         }
-        // The queued row is still served (shutdown short-circuits the window).
+        // The queued row is still served.
         assert_eq!(queue.next_batch().unwrap().len(), 1);
         assert!(queue.next_batch().is_none());
     }
 
     #[test]
     fn full_queue_rejects_with_backpressure() {
-        let queue = BatchQueue::new(4, Duration::from_millis(5), 3);
+        let queue = BatchQueue::new(4, Duration::ZERO, 3);
         let (tx, _rx) = mpsc::channel();
         queue.push(vec![row(0, &tx), row(1, &tx)]).unwrap();
         // Atomic: a request that would cross the cap is refused whole.
@@ -286,7 +274,7 @@ mod tests {
 
     #[test]
     fn blocked_worker_wakes_on_shutdown() {
-        let queue = Arc::new(BatchQueue::new(4, Duration::from_secs(60), 64));
+        let queue = Arc::new(BatchQueue::new(4, Duration::ZERO, 64));
         let worker = {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || queue.next_batch().is_none())
@@ -298,7 +286,7 @@ mod tests {
 
     #[test]
     fn two_workers_split_a_large_backlog() {
-        let queue = Arc::new(BatchQueue::new(4, Duration::from_millis(5), 64));
+        let queue = Arc::new(BatchQueue::new(4, Duration::ZERO, 64));
         let (tx, _rx) = mpsc::channel();
         queue.push((0..16).map(|i| row(i, &tx)).collect()).unwrap();
         let workers: Vec<_> = (0..2)

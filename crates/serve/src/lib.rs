@@ -7,8 +7,9 @@
 //! artifact and serves JSON predict requests through a **dynamic
 //! micro-batching scheduler**:
 //!
-//! * requests queue in a [`BatchQueue`]; a batch launches when `max_batch`
-//!   rows are pending or the oldest row has waited `max_wait`,
+//! * requests queue in a [`BatchQueue`]; a free worker drains every queued
+//!   row at once, up to `max_batch`, so batches grow only while every
+//!   worker is busy and no row waits while a worker is idle,
 //! * a pool of worker threads executes batches on warm per-worker network
 //!   clones, staging each batch through a reusable [`fitact_tensor::TensorArena`]
 //!   slot (allocation-free at steady state),

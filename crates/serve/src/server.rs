@@ -6,10 +6,12 @@
 //!   (`crate::transport`): one event-loop thread owns every socket, and a
 //!   handler pool of `2 × workers + 2` threads answers routed requests —
 //!   a predict blocks there on its batch results, never on the event loop,
-//! * `workers` long-lived **worker** threads drain the [`BatchQueue`],
-//!   stage each micro-batch into a [`TensorArena`] slot (one contiguous
-//!   row copy per request — the same staging discipline as
-//!   `Network::evaluate`) and run one eval-mode forward per batch.
+//! * `workers` long-lived **worker** threads drain the [`BatchQueue`]: a
+//!   free worker takes every queued row at once (up to `max_batch`), so no
+//!   row waits while a worker is idle. It stages the micro-batch into a
+//!   [`TensorArena`] slot (one contiguous row copy per request — the same
+//!   staging discipline as `Network::evaluate`) and runs one eval-mode
+//!   forward per batch.
 //!
 //! Keep-alive, pipelining, deadlines (`--io-timeout-ms`,
 //! `--idle-timeout-ms`) and load-shedding past `--max-connections` come
@@ -83,7 +85,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Maximum rows coalesced into one forward pass.
     pub max_batch: usize,
-    /// How long the oldest queued row may wait for its batch to fill.
+    /// Ignored: the batch queue has no window, a free worker drains what is
+    /// queued at once. The field remains only because the benchmark harness
+    /// under `perfbench/` still reads it; it goes once that harness stops.
     pub max_wait: Duration,
     /// Number of worker threads (each owns a warm clone of the network).
     pub workers: usize,
@@ -129,7 +133,7 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             max_batch: 8,
-            max_wait: Duration::from_millis(5),
+            max_wait: Duration::ZERO,
             workers: 2,
             input_shape: None,
             max_body_bytes: 8 * 1024 * 1024,
@@ -261,6 +265,25 @@ struct Shared {
 }
 
 impl Shared {
+    /// Loads the model at `model_path` and builds the state the handler and
+    /// worker threads share.
+    fn new(model_path: PathBuf, config: &ServeConfig) -> Result<Shared, ServeError> {
+        let model = load_model(&model_path, config.input_shape.as_deref(), config.precision)?;
+        Ok(Shared {
+            queue: BatchQueue::new(config.max_batch, Duration::ZERO, config.max_queue),
+            metrics: Metrics::new(config.max_batch),
+            model: RwLock::new(Arc::new(model)),
+            generation: AtomicU64::new(1),
+            model_path,
+            input_shape_override: config.input_shape.clone(),
+            expected_precision: config.precision,
+            workers: config.workers,
+            retry_policy: config.retry_policy,
+            violation_threshold: config.violation_threshold.max(1),
+            canary_rate: config.canary_rate,
+        })
+    }
+
     fn current_model(&self) -> Arc<LoadedModel> {
         Arc::clone(&self.model.read().expect("model lock poisoned"))
     }
@@ -313,21 +336,7 @@ impl Server {
                 "io_timeout and idle_timeout must be non-zero".into(),
             ));
         }
-        let model_path = model_path.as_ref().to_path_buf();
-        let model = load_model(&model_path, config.input_shape.as_deref(), config.precision)?;
-        let shared = Arc::new(Shared {
-            queue: BatchQueue::new(config.max_batch, config.max_wait, config.max_queue),
-            metrics: Metrics::new(config.max_batch),
-            model: RwLock::new(Arc::new(model)),
-            generation: AtomicU64::new(1),
-            model_path,
-            input_shape_override: config.input_shape.clone(),
-            expected_precision: config.precision,
-            workers: config.workers,
-            retry_policy: config.retry_policy,
-            violation_threshold: config.violation_threshold.max(1),
-            canary_rate: config.canary_rate,
-        });
+        let shared = Arc::new(Shared::new(model_path.as_ref().to_path_buf(), config)?);
         let limits = Limits {
             max_connections: config.max_connections,
             max_body: config.max_body_bytes,
@@ -878,6 +887,55 @@ mod tests {
             let err = parse_rows(body, 2).unwrap_err();
             assert!(err.contains(needle), "{err}");
         }
+    }
+
+    /// A row validated against the model current at enqueue time, then
+    /// overtaken by a hot reload that changes the input width, gets a typed
+    /// "reloaded" error from the worker instead of killing it; a correctly
+    /// shaped row in the same batch is still served.
+    #[test]
+    fn rows_queued_before_a_reshaping_reload_get_a_typed_error() {
+        use fitact_nn::layers::{Linear, Sequential};
+        use rand::{rngs::StdRng, SeedableRng};
+        let dir = std::env::temp_dir().join(format!("fitact_serve_unit_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("reshape.fitact");
+        let mut rng = StdRng::seed_from_u64(78);
+        let mut save_mlp = |inputs: usize| {
+            let net = Network::new(
+                "mlp",
+                Sequential::new().with(Box::new(Linear::new(inputs, 3, &mut rng))),
+            );
+            ModelArtifact::capture(&net).unwrap().save(&path).unwrap();
+        };
+        save_mlp(4);
+        let shared = Arc::new(Shared::new(path.clone(), &ServeConfig::default()).unwrap());
+        let (tx, rx) = mpsc::channel();
+        let pending = |features: usize, row: usize| PendingRow {
+            input: vec![1.0; features],
+            row,
+            enqueued: Instant::now(),
+            responder: tx.clone(),
+        };
+        // A 4-feature row waits in the queue while an 8-feature model is
+        // swapped in; then a row of the new width arrives.
+        shared.queue.push(vec![pending(4, 0)]).unwrap();
+        save_mlp(8);
+        let _ = reload(&shared);
+        assert_eq!(shared.generation.load(Ordering::Acquire), 2);
+        shared.queue.push(vec![pending(8, 1)]).unwrap();
+        // The worker drains both rows, then exits on the shut queue.
+        shared.queue.shutdown();
+        worker_loop(&shared, None);
+        drop(tx);
+        let mut results: Vec<RowResult> = rx.iter().collect();
+        results.sort_by_key(|r| r.row);
+        assert_eq!(results.len(), 2);
+        let stale = results[0].outcome.as_ref().unwrap_err();
+        assert!(stale.contains("reloaded"), "{stale}");
+        assert_eq!(results[1].outcome.as_ref().unwrap().logits.len(), 3);
+        assert_eq!(shared.metrics.snapshot().errors_total, 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -289,14 +289,15 @@ fn pipelining_past_the_inflight_budget_is_answered_with_429() {
         "budget.fitact",
         ServeConfig {
             max_batch: 8,
-            max_wait: Duration::from_millis(50),
             workers: 4,
             ..ServeConfig::default()
         },
     );
-    // 70 predicts in one segment: every one blocks on batch execution for
-    // ≥ max_wait, so all 70 are parsed before any response can emit and
-    // the 65th deterministically overflows the inflight budget (64).
+    // 70 predicts (about 7 KB) in one write: on loopback they arrive as one
+    // segment, and the event loop parses every complete request of a
+    // readiness event before it drains any handler completion. So all 70
+    // are dispatched before any response can emit, and the 65th
+    // deterministically overflows the inflight budget (64).
     let one = keepalive_request("POST", "/predict", r#"{"input": [1, 2, 3, 4]}"#);
     let segment: String = (0..70).map(|_| one.as_str()).collect();
     let (mut stream, mut reader) = connect(addr);
@@ -363,7 +364,6 @@ fn pipelined_responses_in_separate_batches_are_not_delayed() {
         "nodelay.fitact",
         ServeConfig {
             max_batch: 1,
-            max_wait: Duration::from_millis(1),
             workers: 1,
             ..ServeConfig::default()
         },

@@ -52,14 +52,13 @@ fn temp_model(name: &str) -> PathBuf {
 
 /// Saves the tiny model under `file` (one name per test, so no two tests
 /// share an artifact) and serves it.
-fn start_tiny(file: &str, max_batch: usize, max_wait_ms: u64) -> (Server, SocketAddr, PathBuf) {
+fn start_tiny(file: &str, max_batch: usize) -> (Server, SocketAddr, PathBuf) {
     let path = temp_model(file);
     tiny_artifact().save(&path).unwrap();
     let server = Server::start(
         &path,
         &ServeConfig {
             max_batch,
-            max_wait: Duration::from_millis(max_wait_ms),
             workers: 2,
             ..ServeConfig::default()
         },
@@ -71,7 +70,7 @@ fn start_tiny(file: &str, max_batch: usize, max_wait_ms: u64) -> (Server, Socket
 
 #[test]
 fn routing_and_validation_errors() {
-    let (server, addr, _) = start_tiny("routing.fitact", 4, 5);
+    let (server, addr, _) = start_tiny("routing.fitact", 4);
     // Unknown route.
     let (status, body) = http(addr, "GET", "/nope", "");
     assert_eq!(status, 404);
@@ -113,7 +112,7 @@ fn routing_and_validation_errors() {
 
 #[test]
 fn malformed_http_framing_is_answered_with_400() {
-    let (server, addr, _) = start_tiny("framing.fitact", 4, 5);
+    let (server, addr, _) = start_tiny("framing.fitact", 4);
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -160,7 +159,7 @@ fn requests_followed_by_a_half_close_are_answered() {
 
 #[test]
 fn predict_after_shutdown_is_503_and_join_is_clean() {
-    let (server, addr, _) = start_tiny("shutdown.fitact", 4, 5);
+    let (server, addr, _) = start_tiny("shutdown.fitact", 4);
     let (status, _) = http(addr, "POST", "/admin/shutdown", "");
     assert_eq!(status, 200);
     // Shutdown is idempotent and the server keeps answering its admin
@@ -266,7 +265,7 @@ fn invalid_configurations_are_rejected() {
 
 #[test]
 fn metrics_track_a_mixed_workload() {
-    let (server, addr, _) = start_tiny("metrics_mixed.fitact", 2, 5);
+    let (server, addr, _) = start_tiny("metrics_mixed.fitact", 2);
     let body = r#"{"inputs": [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13, 14, 15, 16]]}"#;
     let (status, response) = http(addr, "POST", "/predict", body);
     assert_eq!(status, 200);
@@ -307,7 +306,7 @@ fn metrics_track_a_mixed_workload() {
 
 #[test]
 fn metrics_reset_clears_latency_window_but_not_counters() {
-    let (server, addr, _) = start_tiny("metrics_reset.fitact", 4, 5);
+    let (server, addr, _) = start_tiny("metrics_reset.fitact", 4);
     for _ in 0..3 {
         let (status, _) = http(addr, "POST", "/predict", r#"{"input": [1, 2, 3, 4]}"#);
         assert_eq!(status, 200);
@@ -358,7 +357,7 @@ fn metrics_reset_clears_latency_window_but_not_counters() {
 fn violation_telemetry_reports_clean_zeroes_for_an_unprotected_model() {
     // ReLU slots have no bounds, so every trace is clean — but the telemetry
     // block must still be present and well-formed for dashboards.
-    let (server, addr, _) = start_tiny("violations.fitact", 4, 5);
+    let (server, addr, _) = start_tiny("violations.fitact", 4);
     let (status, _) = http(addr, "POST", "/predict", r#"{"input": [1, 2, 3, 4]}"#);
     assert_eq!(status, 200);
     let (_, metrics) = http(addr, "GET", "/metrics", "");
@@ -400,7 +399,7 @@ fn violation_telemetry_reports_clean_zeroes_for_an_unprotected_model() {
 
 #[test]
 fn reload_failure_keeps_the_old_model_serving() {
-    let (server, addr, path) = start_tiny("reload_failure.fitact", 4, 5);
+    let (server, addr, path) = start_tiny("reload_failure.fitact", 4);
     let (status, before) = http(addr, "POST", "/predict", r#"{"input": [1, 2, 3, 4]}"#);
     assert_eq!(status, 200);
     // Corrupt the on-disk artifact, then ask for a reload: it must fail
@@ -432,6 +431,45 @@ fn reload_failure_keeps_the_old_model_serving() {
     server.join();
 }
 
+/// An artifact whose activation carries more features than its slot would
+/// load and then fail every forward; reload refuses it (a typed mismatch)
+/// and the old model keeps serving bit-identically.
+#[test]
+fn reload_onto_an_activation_wider_than_its_slot_is_refused() {
+    let (server, addr, path) = start_tiny("misfit.fitact", 4);
+    let (status, before) = http(addr, "POST", "/predict", r#"{"input": [1, 2, 3, 4]}"#);
+    assert_eq!(status, 200);
+    // A FitReLU with 17 bounds in the 16-wide hidden slot.
+    let mut rng = StdRng::seed_from_u64(81);
+    let misfit = Network::new(
+        "misfit-mlp",
+        Sequential::new()
+            .with(Box::new(Linear::new(4, 16, &mut rng)))
+            .with(Box::new(ActivationLayer::with_activation(
+                "h",
+                &[16],
+                Box::new(fitact::FitRelu::from_bounds(&[1.0; 17], 8.0)),
+            )))
+            .with(Box::new(Linear::new(16, 3, &mut rng))),
+    );
+    ModelArtifact::capture(&misfit)
+        .unwrap()
+        .save(&path)
+        .unwrap();
+    let (status, reload) = http(addr, "POST", "/admin/reload", "");
+    assert_eq!(status, 500, "{reload}");
+    let message = reload.get("error").unwrap().as_str().unwrap();
+    assert!(message.contains("reload failed"), "{message}");
+    assert!(message.contains("17 features"), "{message}");
+    let (status, after) = http(addr, "POST", "/predict", r#"{"input": [1, 2, 3, 4]}"#);
+    assert_eq!(status, 200);
+    assert_eq!(before.get("outputs"), after.get("outputs"));
+    let (_, health) = http(addr, "GET", "/healthz", "");
+    assert_eq!(health.get("generation").unwrap().as_f64(), Some(1.0));
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn full_queue_answers_503_with_backpressure() {
     let path = temp_model("backpressure.fitact");
@@ -440,7 +478,6 @@ fn full_queue_answers_503_with_backpressure() {
         &path,
         &ServeConfig {
             max_batch: 8,
-            max_wait: Duration::from_millis(5),
             workers: 1,
             max_queue: 2,
             ..ServeConfig::default()
@@ -471,27 +508,12 @@ fn full_queue_answers_503_with_backpressure() {
     server.join();
 }
 
+/// A reload may change the input width: requests are then validated
+/// against the new model. (Rows already queued under the old width get a
+/// typed error from the worker; `server.rs` pins that path in-crate.)
 #[test]
-fn reload_with_a_different_input_shape_fails_stale_rows_cleanly() {
-    let path = temp_model("reshape.fitact");
-    tiny_artifact().save(&path).unwrap(); // 4 input features
-    let server = Server::start(
-        &path,
-        &ServeConfig {
-            max_batch: 16,
-            // A long window: the queued row waits while the reload lands.
-            max_wait: Duration::from_millis(1500),
-            workers: 1,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = server.addr();
-    // Queue a row validated against the 4-feature model...
-    let client =
-        std::thread::spawn(move || http(addr, "POST", "/predict", r#"{"input": [1, 2, 3, 4]}"#));
-    std::thread::sleep(Duration::from_millis(100));
-    // ...then hot-swap in an 8-feature model while the row waits.
+fn reload_with_a_different_input_shape_serves_the_new_shape() {
+    let (server, addr, path) = start_tiny("reshape.fitact", 16); // 4 input features
     let mut rng = StdRng::seed_from_u64(78);
     let wide = Network::new(
         "wide-mlp",
@@ -500,16 +522,7 @@ fn reload_with_a_different_input_shape_fails_stale_rows_cleanly() {
     ModelArtifact::capture(&wide).unwrap().save(&path).unwrap();
     let (status, _) = http(addr, "POST", "/admin/reload", "");
     assert_eq!(status, 200);
-    // The stale row must get a clean typed error, not kill the worker.
-    let (status, response) = client.join().unwrap();
-    assert_eq!(status, 500, "{response}");
-    assert!(response
-        .get("error")
-        .unwrap()
-        .as_str()
-        .unwrap()
-        .contains("reloaded"));
-    // The worker survived: a correctly shaped request is served.
+    // A correctly shaped request is served...
     let (status, response) = http(
         addr,
         "POST",
@@ -517,6 +530,15 @@ fn reload_with_a_different_input_shape_fails_stale_rows_cleanly() {
         r#"{"input": [1, 2, 3, 4, 5, 6, 7, 8]}"#,
     );
     assert_eq!(status, 200, "{response}");
+    // ...and the old width is refused before it reaches the queue.
+    let (status, response) = http(addr, "POST", "/predict", r#"{"input": [1, 2, 3, 4]}"#);
+    assert_eq!(status, 400, "{response}");
+    assert!(response
+        .get("error")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .contains("the model takes 8"));
     server.shutdown();
     server.join();
 }
@@ -538,7 +560,6 @@ fn f16_artifact_serves_mapped_under_a_precision_pin() {
         &path,
         &ServeConfig {
             max_batch: 4,
-            max_wait: Duration::from_millis(2),
             workers: 2,
             precision: Some(fitact_tensor::Precision::F16),
             ..ServeConfig::default()

@@ -149,7 +149,6 @@ fn concurrent_batched_predictions_are_bit_identical_to_direct_evaluation() {
         &model_path,
         &ServeConfig {
             max_batch: 4,
-            max_wait: Duration::from_millis(25),
             workers: 2,
             ..ServeConfig::default()
         },

@@ -147,7 +147,6 @@ fn canary_faults_are_detected_and_retries_recover_bitwise_over_http() {
         &model_path,
         &ServeConfig {
             max_batch: 4,
-            max_wait: Duration::from_millis(25),
             workers: 2,
             retry_policy: RetryPolicy::Retry,
             violation_threshold: 1,
@@ -287,7 +286,6 @@ fn flag_policy_counts_without_changing_responses() {
         &model_path,
         &ServeConfig {
             max_batch: 4,
-            max_wait: Duration::from_millis(25),
             workers: 2,
             retry_policy: RetryPolicy::Flag,
             ..ServeConfig::default()
