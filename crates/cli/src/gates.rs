@@ -110,26 +110,23 @@ pub fn diff_report(raw: &[String]) -> Result<JsonValue, CliError> {
         }
     }
 
-    let verdict = JsonValue::Object(vec![
-        ("command".into(), JsonValue::String("diff-report".into())),
-        ("report".into(), JsonValue::String(report_path.into())),
-        ("golden".into(), JsonValue::String(golden_path.into())),
-        ("match".into(), JsonValue::Bool(failures.is_empty())),
-        (
-            "failures".into(),
-            JsonValue::Array(
-                failures
-                    .iter()
-                    .map(|f| JsonValue::String(f.clone()))
-                    .collect(),
-            ),
-        ),
+    let pass = failures.is_empty();
+    let verdict = JsonValue::object([
+        ("command", "diff-report".into()),
+        ("report", report_path.into()),
+        ("golden", golden_path.into()),
+        ("match", pass.into()),
+        ("failures", failure_list(failures)),
     ]);
-    if failures.is_empty() {
+    if pass {
         Ok(verdict)
     } else {
         Err(CliError::Gate(verdict.to_string()))
     }
+}
+
+fn failure_list(failures: Vec<String>) -> JsonValue {
+    JsonValue::Array(failures.into_iter().map(JsonValue::from).collect())
 }
 
 /// `fitact bench-gate`: gate a bench JSON against a committed baseline.
@@ -157,12 +154,12 @@ pub fn bench_gate(raw: &[String]) -> Result<JsonValue, CliError> {
     // Smoke-mode bench output carries no meaningful timing; skip loudly
     // rather than gate on noise.
     if current_doc.get("smoke").and_then(JsonValue::as_bool) == Some(true) {
-        return Ok(JsonValue::Object(vec![
-            ("command".into(), JsonValue::String("bench-gate".into())),
-            ("skipped".into(), JsonValue::Bool(true)),
+        return Ok(JsonValue::object([
+            ("command", "bench-gate".into()),
+            ("skipped", true.into()),
             (
-                "reason".into(),
-                JsonValue::String("current bench JSON was produced in smoke mode".into()),
+                "reason",
+                "current bench JSON was produced in smoke mode".into(),
             ),
         ]));
     }
@@ -188,30 +185,19 @@ pub fn bench_gate(raw: &[String]) -> Result<JsonValue, CliError> {
         )),
     }
 
-    let verdict = JsonValue::Object(vec![
-        ("command".into(), JsonValue::String("bench-gate".into())),
-        ("current".into(), JsonValue::String(current_path.into())),
-        ("baseline".into(), JsonValue::String(baseline_path.into())),
-        (
-            "case".into(),
-            case.map(|c| JsonValue::String(c.into()))
-                .unwrap_or(JsonValue::Null),
-        ),
-        ("speedup".into(), JsonValue::Number(got)),
-        ("baseline_speedup".into(), JsonValue::Number(want)),
-        ("floor".into(), JsonValue::Number(floor)),
-        ("pass".into(), JsonValue::Bool(failures.is_empty())),
-        (
-            "failures".into(),
-            JsonValue::Array(
-                failures
-                    .iter()
-                    .map(|f| JsonValue::String(f.clone()))
-                    .collect(),
-            ),
-        ),
+    let pass = failures.is_empty();
+    let verdict = JsonValue::object([
+        ("command", "bench-gate".into()),
+        ("current", current_path.into()),
+        ("baseline", baseline_path.into()),
+        ("case", case.map_or(JsonValue::Null, JsonValue::from)),
+        ("speedup", got.into()),
+        ("baseline_speedup", want.into()),
+        ("floor", floor.into()),
+        ("pass", pass.into()),
+        ("failures", failure_list(failures)),
     ]);
-    if failures.is_empty() {
+    if pass {
         Ok(verdict)
     } else {
         Err(CliError::Gate(verdict.to_string()))

@@ -101,23 +101,6 @@ pub const CAMPAIGN_FLAGS: &[&str] = &[
 /// The flags `fitact inspect` accepts (pinned against `help::INSPECT`).
 pub const INSPECT_FLAGS: &[&str] = &["model"];
 
-fn obj(entries: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
-}
-
-fn num(v: f64) -> JsonValue {
-    JsonValue::Number(v)
-}
-
-fn text(v: impl Into<String>) -> JsonValue {
-    JsonValue::String(v.into())
-}
-
 fn load_artifact(path: &str) -> Result<ModelArtifact, CliError> {
     ModelArtifact::load(path)
         .map_err(|e| CliError::from(format!("cannot load artifact `{path}`: {e}")))
@@ -244,15 +227,15 @@ pub fn train(raw: &[String]) -> Result<JsonValue, CliError> {
         .save(out)
         .map_err(|e| format!("cannot save `{out}`: {e}"))?;
 
-    Ok(obj(vec![
-        ("command", text("train")),
-        ("out", text(out)),
-        ("arch", text(arch)),
-        ("dataset", text(dataset)),
-        ("epochs", num(epochs as f64)),
-        ("final_loss", num(f64::from(report.final_loss))),
-        ("train_accuracy", num(f64::from(accuracy))),
-        ("num_parameters", num(artifact.num_parameters() as f64)),
+    Ok(JsonValue::object([
+        ("command", "train".into()),
+        ("out", out.into()),
+        ("arch", arch.into()),
+        ("dataset", dataset.into()),
+        ("epochs", epochs.into()),
+        ("final_loss", report.final_loss.into()),
+        ("train_accuracy", accuracy.into()),
+        ("num_parameters", artifact.num_parameters().into()),
     ]))
 }
 
@@ -278,10 +261,10 @@ pub fn calibrate(raw: &[String]) -> Result<JsonValue, CliError> {
         .slots
         .iter()
         .map(|s| {
-            obj(vec![
-                ("label", text(&s.label)),
-                ("neurons", num(s.num_neurons() as f64)),
-                ("layer_max", num(f64::from(s.layer_max))),
+            JsonValue::object([
+                ("label", s.label.as_str().into()),
+                ("neurons", s.num_neurons().into()),
+                ("layer_max", s.layer_max.into()),
             ])
         })
         .collect();
@@ -292,12 +275,12 @@ pub fn calibrate(raw: &[String]) -> Result<JsonValue, CliError> {
         .save(out)
         .map_err(|e| format!("cannot save `{out}`: {e}"))?;
 
-    Ok(obj(vec![
-        ("command", text("calibrate")),
-        ("model", text(model)),
-        ("out", text(out)),
-        ("calibration_samples", num(spec.samples as f64)),
-        ("total_neurons", num(total_neurons as f64)),
+    Ok(JsonValue::object([
+        ("command", "calibrate".into()),
+        ("model", model.into()),
+        ("out", out.into()),
+        ("calibration_samples", spec.samples.into()),
+        ("total_neurons", total_neurons.into()),
         ("slots", JsonValue::Array(slots)),
     ]))
 }
@@ -342,19 +325,13 @@ pub fn protect(raw: &[String]) -> Result<JsonValue, CliError> {
         let report = fitact
             .post_train(&mut network, &inputs, &targets)
             .map_err(|e| format!("post-training failed: {e}"))?;
-        post_train = obj(vec![
-            ("epochs_run", num(report.epochs_run as f64)),
-            ("initial_accuracy", num(f64::from(report.initial_accuracy))),
-            ("final_accuracy", num(f64::from(report.final_accuracy))),
-            (
-                "mean_bound_before",
-                num(f64::from(report.mean_bound_before)),
-            ),
-            ("mean_bound_after", num(f64::from(report.mean_bound_after))),
-            (
-                "constraint_satisfied",
-                JsonValue::Bool(report.constraint_satisfied),
-            ),
+        post_train = JsonValue::object([
+            ("epochs_run", report.epochs_run.into()),
+            ("initial_accuracy", report.initial_accuracy.into()),
+            ("final_accuracy", report.final_accuracy.into()),
+            ("mean_bound_before", report.mean_bound_before.into()),
+            ("mean_bound_after", report.mean_bound_after.into()),
+            ("constraint_satisfied", report.constraint_satisfied.into()),
         ]);
     }
 
@@ -381,13 +358,13 @@ pub fn protect(raw: &[String]) -> Result<JsonValue, CliError> {
         .save(out)
         .map_err(|e| format!("cannot save `{out}`: {e}"))?;
 
-    Ok(obj(vec![
-        ("command", text("protect")),
-        ("model", text(model)),
-        ("out", text(out)),
-        ("scheme", text(scheme.name())),
-        ("precision", text(precision.name())),
-        ("num_parameters", num(protected.num_parameters() as f64)),
+    Ok(JsonValue::object([
+        ("command", "protect".into()),
+        ("model", model.into()),
+        ("out", out.into()),
+        ("scheme", scheme.name().into()),
+        ("precision", precision.name().into()),
+        ("num_parameters", protected.num_parameters().into()),
         ("post_train", post_train),
     ]))
 }
@@ -432,15 +409,13 @@ fn campaign_result(
     eval_samples: usize,
     report: &fitact_faults::CampaignReport,
 ) -> Result<JsonValue, CliError> {
-    let report_json = JsonValue::parse(&report.to_json())
-        .map_err(|e| format!("internal error: campaign report JSON did not parse: {e}"))?;
-    let result = obj(vec![
-        ("command", text("campaign")),
-        ("model", text(model)),
-        ("network", text(network_name)),
-        ("scheme", scheme.map(text).unwrap_or(JsonValue::Null)),
-        ("eval_samples", num(eval_samples as f64)),
-        ("report", report_json),
+    let result = JsonValue::object([
+        ("command", "campaign".into()),
+        ("model", model.into()),
+        ("network", network_name.into()),
+        ("scheme", scheme.map_or(JsonValue::Null, JsonValue::from)),
+        ("eval_samples", eval_samples.into()),
+        ("report", report.into()),
     ]);
     if let Some(out) = args.get("out") {
         std::fs::write(out, format!("{result}\n"))
@@ -451,12 +426,12 @@ fn campaign_result(
 
 /// The JSON line printed when a campaign checkpoints and exits gracefully.
 fn resumable_result(checkpoint: &std::path::Path, rounds: usize, trials: usize) -> JsonValue {
-    obj(vec![
-        ("command", text("campaign")),
-        ("status", text("resumable")),
-        ("checkpoint", text(checkpoint.display().to_string())),
-        ("rounds", num(rounds as f64)),
-        ("trials", num(trials as f64)),
+    JsonValue::object([
+        ("command", "campaign".into()),
+        ("status", "resumable".into()),
+        ("checkpoint", checkpoint.display().to_string().into()),
+        ("rounds", rounds.into()),
+        ("trials", trials.into()),
     ])
 }
 
@@ -499,13 +474,13 @@ fn campaign_worker(args: &Args) -> Result<JsonValue, CliError> {
     };
     let summary =
         fitact_serve::run_worker_until(&config, stop).map_err(|e| format!("worker failed: {e}"))?;
-    Ok(obj(vec![
-        ("command", text("campaign")),
-        ("mode", text("worker")),
-        ("coordinator", text(coordinator)),
-        ("worker_id", text(summary.worker_id)),
-        ("units", num(summary.units as f64)),
-        ("trials", num(summary.trials as f64)),
+    Ok(JsonValue::object([
+        ("command", "campaign".into()),
+        ("mode", "worker".into()),
+        ("coordinator", coordinator.into()),
+        ("worker_id", summary.worker_id.into()),
+        ("units", summary.units.into()),
+        ("trials", summary.trials.into()),
     ]))
 }
 
@@ -533,10 +508,11 @@ fn campaign_coordinator(args: &Args) -> Result<JsonValue, CliError> {
             .map_err(|e| format!("coordinator failed to start: {e}"))?;
     // Workers need the address before the final report exists; stdout stays
     // reserved for the one JSON result object.
-    eprintln!(
-        "{{\"status\":\"listening\",\"addr\":\"{}\"}}",
-        coordinator.addr()
-    );
+    let listening = JsonValue::object([
+        ("status", "listening".into()),
+        ("addr", coordinator.addr().to_string().into()),
+    ]);
+    eprintln!("{listening}");
 
     let stop = signals::install();
     let done = std::sync::atomic::AtomicBool::new(false);
@@ -572,14 +548,15 @@ fn campaign_coordinator(args: &Args) -> Result<JsonValue, CliError> {
             let status = coordinator.status();
             coordinator.shutdown();
             let checkpoint = args.get("checkpoint").unwrap_or("(none)");
-            let rounds = JsonValue::parse(&status)
-                .ok()
-                .and_then(|s| s.get("round").and_then(JsonValue::as_f64))
-                .unwrap_or(0.0) as usize;
-            let trials = JsonValue::parse(&status)
-                .ok()
-                .and_then(|s| s.get("total_trials").and_then(JsonValue::as_f64))
-                .unwrap_or(0.0) as usize;
+            let status = JsonValue::parse(&status).ok();
+            let field = |key| {
+                status
+                    .as_ref()
+                    .and_then(|s| s.get(key))
+                    .and_then(JsonValue::as_f64)
+                    .unwrap_or(0.0) as usize
+            };
+            let (rounds, trials) = (field("round"), field("total_trials"));
             Ok(resumable_result(
                 std::path::Path::new(checkpoint),
                 rounds,
@@ -713,17 +690,17 @@ pub fn inspect(raw: &[String]) -> Result<JsonValue, CliError> {
         .root()
         .layers()
         .iter()
-        .map(|l| text(l.name()))
+        .map(|l| JsonValue::from(l.name()))
         .collect();
     let params: Vec<JsonValue> = artifact
         .params
         .iter()
         .map(|p| {
-            obj(vec![
-                ("path", text(&p.path)),
+            JsonValue::object([
+                ("path", p.path.as_str().into()),
                 (
                     "dims",
-                    JsonValue::Array(p.dims.iter().map(|&d| num(d as f64)).collect()),
+                    JsonValue::Array(p.dims.iter().map(|&d| JsonValue::from(d)).collect()),
                 ),
                 ("trainable", JsonValue::Bool(p.trainable)),
             ])
@@ -732,21 +709,24 @@ pub fn inspect(raw: &[String]) -> Result<JsonValue, CliError> {
     let meta: Vec<(String, JsonValue)> = artifact
         .meta
         .iter()
-        .map(|(k, v)| (k.clone(), text(v)))
+        .map(|(k, v)| (k.clone(), v.as_str().into()))
         .collect();
-    Ok(obj(vec![
-        ("command", text("inspect")),
-        ("model", text(model)),
-        ("name", text(&artifact.name)),
-        ("format_version", num(f64::from(artifact.format_version()))),
-        ("num_parameters", num(artifact.num_parameters() as f64)),
+    Ok(JsonValue::object([
+        ("command", "inspect".into()),
+        ("model", model.into()),
+        ("name", artifact.name.as_str().into()),
+        (
+            "format_version",
+            f64::from(artifact.format_version()).into(),
+        ),
+        ("num_parameters", artifact.num_parameters().into()),
         ("layers", JsonValue::Array(layers)),
         ("params", JsonValue::Array(params)),
         (
             "scheme",
             artifact
                 .scheme
-                .map(|s| text(s.name()))
+                .map(|s| JsonValue::from(s.name()))
                 .unwrap_or(JsonValue::Null),
         ),
         (
@@ -754,7 +734,7 @@ pub fn inspect(raw: &[String]) -> Result<JsonValue, CliError> {
             artifact
                 .profile
                 .as_ref()
-                .map(|p| num(p.len() as f64))
+                .map(|p| JsonValue::from(p.len()))
                 .unwrap_or(JsonValue::Null),
         ),
         ("meta", JsonValue::Object(meta)),

@@ -99,38 +99,31 @@ pub fn serve(raw: &[String]) -> Result<JsonValue, CliError> {
     };
     let server =
         Server::start(model, &config).map_err(|e| format!("cannot serve `{model}`: {e}"))?;
-    let startup = JsonValue::Object(vec![
-        ("command".into(), JsonValue::String("serve".into())),
-        ("status".into(), JsonValue::String("listening".into())),
-        ("model".into(), JsonValue::String(model.into())),
-        ("addr".into(), JsonValue::String(server.addr().to_string())),
+    let startup = JsonValue::object([
+        ("command", "serve".into()),
+        ("status", "listening".into()),
+        ("model", model.into()),
+        ("addr", server.addr().to_string().into()),
+        ("max_batch", config.max_batch.into()),
+        ("workers", config.workers.into()),
         (
-            "max_batch".into(),
-            JsonValue::Number(config.max_batch as f64),
-        ),
-        ("workers".into(), JsonValue::Number(config.workers as f64)),
-        (
-            "precision".into(),
+            "precision",
             config
                 .precision
-                .map(|p| JsonValue::String(p.name().into()))
-                .unwrap_or(JsonValue::Null),
+                .map_or(JsonValue::Null, |p| p.name().into()),
         ),
-        (
-            "retry_policy".into(),
-            JsonValue::String(config.retry_policy.as_str().into()),
-        ),
-        ("canary_rate".into(), JsonValue::Number(config.canary_rate)),
+        ("retry_policy", config.retry_policy.as_str().into()),
+        ("canary_rate", config.canary_rate.into()),
     ]);
     println!("{startup}");
     // Scripts (and the CI smoke job) poll stdout for this line before
     // connecting; a buffered pipe would deadlock them.
     std::io::stdout().flush().ok();
     let final_metrics = server.join();
-    Ok(JsonValue::Object(vec![
-        ("command".into(), JsonValue::String("serve".into())),
-        ("status".into(), JsonValue::String("shut down".into())),
-        ("final_metrics".into(), final_metrics.to_json()),
+    Ok(JsonValue::object([
+        ("command", "serve".into()),
+        ("status", "shut down".into()),
+        ("final_metrics", final_metrics.to_json()),
     ]))
 }
 

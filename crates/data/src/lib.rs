@@ -29,14 +29,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod augment;
 mod blobs;
 mod cifar_binary;
 mod loader;
 mod spec;
 mod synthetic;
 
-pub use augment::{AugmentConfig, Augmented};
 pub use blobs::{Blobs, BlobsConfig};
 pub use cifar_binary::CifarBinary;
 pub use loader::{materialize, DataLoader};

@@ -112,7 +112,6 @@
 mod campaign;
 mod checkpoint;
 mod injector;
-mod json;
 mod map;
 mod model;
 mod stats;

@@ -57,9 +57,8 @@
 //!
 //! Format version 1 (the previous revision, parameters inline as `f32[]`
 //! directly in the param records, no fixed header) is still decoded by
-//! [`ModelArtifact::from_bytes`] and can be written with
-//! [`ModelArtifact::to_bytes_v1`] for downgrade interchange (native params
-//! are downgraded to their exact f32 decode).
+//! [`ModelArtifact::from_bytes`]; nothing writes it any more, and the
+//! compatibility tests read committed v1 files (`tests/fixtures/`).
 //!
 //! `string` = `u32` length + UTF-8 bytes; `T[]` = `u64` length + elements;
 //! `f32` values are raw IEEE-754 bit patterns (see [`crate::bytes`]).
@@ -182,27 +181,6 @@ impl SavedParam {
             None => 4 * self.data.len(),
             Some(SavedNative::F16(words)) => 2 * words.len(),
             Some(SavedNative::Int8 { q, scales, .. }) => q.len() + 5 * scales.len(),
-        }
-    }
-
-    /// The parameter values decoded to f32 (exact kernel arithmetic for
-    /// native encodings).
-    pub fn f32_values(&self) -> Vec<f32> {
-        match &self.native {
-            None => self.data.clone(),
-            Some(SavedNative::F16(words)) => fitact_tensor::half::decode_f16_slice(words),
-            Some(SavedNative::Int8 {
-                q,
-                scales,
-                zero_points,
-            }) => fitact_tensor::Int8Param::from_parts(
-                q.clone(),
-                scales.clone(),
-                zero_points.clone(),
-                &self.dims,
-            )
-            .expect("validated on capture/decode")
-            .dequantize(),
         }
     }
 }
@@ -394,7 +372,16 @@ impl ModelArtifact {
     /// version 2 is the tag-free legacy layout.
     fn encode_blob_head(&self, offsets: &[u64], version: u32) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        self.write_head_prefix(&mut w);
+        w.string(&self.name);
+        w.u32(self.meta.len() as u32);
+        for (k, v) in &self.meta {
+            w.string(k);
+            w.string(v);
+        }
+        w.u32(self.layers.len() as u32);
+        for layer in &self.layers {
+            write_layer_spec(&mut w, layer);
+        }
         w.u32(self.params.len() as u32);
         for (p, &offset) in self.params.iter().zip(offsets) {
             w.string(&p.path);
@@ -409,51 +396,6 @@ impl ModelArtifact {
             w.u64(offset);
             w.u64(p.numel() as u64);
         }
-        self.write_head_trailer(&mut w);
-        w.into_bytes()
-    }
-
-    /// Encodes the artifact in the legacy v1 layout (parameter values inline
-    /// in the param records, no fixed header), for downgrade interchange
-    /// with older readers. [`ModelArtifact::from_bytes`] decodes both.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.raw(&MAGIC);
-        w.u32(1);
-        self.write_head_prefix(&mut w);
-        w.u32(self.params.len() as u32);
-        for p in &self.params {
-            w.string(&p.path);
-            w.u8(u8::from(p.trainable));
-            w.usize_slice(&p.dims);
-            // v1 is f32-only: native params downgrade to their exact decode.
-            match &p.native {
-                None => w.f32_slice(&p.data),
-                Some(_) => w.f32_slice(&p.f32_values()),
-            }
-        }
-        self.write_head_trailer(&mut w);
-        w.into_bytes()
-    }
-
-    /// Writes the head sections shared by v1 and v2: name, metadata and
-    /// topology.
-    fn write_head_prefix(&self, w: &mut ByteWriter) {
-        w.string(&self.name);
-        w.u32(self.meta.len() as u32);
-        for (k, v) in &self.meta {
-            w.string(k);
-            w.string(v);
-        }
-        w.u32(self.layers.len() as u32);
-        for layer in &self.layers {
-            write_layer_spec(w, layer);
-        }
-    }
-
-    /// Writes the head sections shared by v1 and v2: calibration profile
-    /// and protection scheme.
-    fn write_head_trailer(&self, w: &mut ByteWriter) {
         match &self.profile {
             Some(profile) => {
                 w.u8(1);
@@ -476,6 +418,7 @@ impl ModelArtifact {
             }
             None => w.u8(0),
         }
+        w.into_bytes()
     }
 
     /// Decodes an artifact from its binary form (format version 1 or 2).
@@ -1595,9 +1538,9 @@ mod tests {
     fn v1_encoding_round_trips_through_the_dispatching_reader() {
         let mut artifact = ModelArtifact::capture(&mlp()).unwrap();
         artifact.set_meta("stage", "trained");
-        let v1 = artifact.to_bytes_v1();
+        let v1 = include_bytes!("../tests/fixtures/mlp_v1.fitact");
         assert_eq!(&v1[8..12], &1u32.to_le_bytes(), "v1 stamps version 1");
-        assert_eq!(ModelArtifact::from_bytes(&v1).unwrap(), artifact);
+        assert_eq!(ModelArtifact::from_bytes(v1).unwrap(), artifact);
     }
 
     #[test]

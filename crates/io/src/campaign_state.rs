@@ -108,25 +108,10 @@ impl CampaignCheckpoint {
 
     /// Encodes the checkpoint (little-endian, `f32` as raw bit patterns).
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_at(CAMPAIGN_STATE_VERSION)
-    }
-
-    /// Encodes the checkpoint in the **version-1** layout, dropping the
-    /// allocation policy and floor from the config block.
-    ///
-    /// This is a lossy downgrade — meaningful only for campaigns whose
-    /// config matches the v1 implied semantics (`equal` allocation, floor
-    /// 1). It exists so compatibility tests can fabricate genuine old-format
-    /// state without keeping binary fixtures around.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        self.to_bytes_at(1)
-    }
-
-    fn to_bytes_at(&self, version: u32) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.raw(CAMPAIGN_STATE_MAGIC);
-        w.u32(version);
-        encode_config(&mut w, &self.config, version);
+        w.u32(CAMPAIGN_STATE_VERSION);
+        encode_config(&mut w, &self.config);
         w.string(&self.model);
         w.string(&self.network);
         w.u64(self.artifact_fingerprint);
@@ -329,20 +314,10 @@ pub struct CampaignSpec {
 impl CampaignSpec {
     /// Encodes the spec (little-endian, `f32`/`f64` as raw bit patterns).
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_at(CAMPAIGN_STATE_VERSION)
-    }
-
-    /// Encodes the spec in the version-1 layout (see
-    /// [`CampaignCheckpoint::to_bytes_v1`]).
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        self.to_bytes_at(1)
-    }
-
-    fn to_bytes_at(&self, version: u32) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.raw(CAMPAIGN_SPEC_MAGIC);
-        w.u32(version);
-        encode_config(&mut w, &self.config, version);
+        w.u32(CAMPAIGN_STATE_VERSION);
+        encode_config(&mut w, &self.config);
         w.string(&self.model);
         w.string(&self.network);
         w.u64(self.artifact_fingerprint);
@@ -416,7 +391,7 @@ pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn encode_config(w: &mut ByteWriter, config: &StatCampaignConfig, version: u32) {
+fn encode_config(w: &mut ByteWriter, config: &StatCampaignConfig) {
     w.f64(config.fault_rate);
     w.u64(config.batch_size as u64);
     w.u64(config.seed);
@@ -426,13 +401,11 @@ fn encode_config(w: &mut ByteWriter, config: &StatCampaignConfig, version: u32) 
     w.u64(config.round_trials as u64);
     w.u64(config.min_trials as u64);
     w.u64(config.max_trials as u64);
-    if version >= 2 {
-        w.u8(match config.allocation {
-            AllocationPolicy::Equal => 0,
-            AllocationPolicy::Neyman => 1,
-        });
-        w.u64(config.floor_trials as u64);
-    }
+    w.u8(match config.allocation {
+        AllocationPolicy::Equal => 0,
+        AllocationPolicy::Neyman => 1,
+    });
+    w.u64(config.floor_trials as u64);
     w.len(config.strata.len());
     for spec in &config.strata {
         w.string(&spec.label);
@@ -681,9 +654,9 @@ mod tests {
     #[test]
     fn v1_checkpoints_decode_with_equal_policy_implied() {
         let ck = sample_checkpoint();
-        let v1_bytes = ck.to_bytes_v1();
-        assert_ne!(v1_bytes, ck.to_bytes(), "v1 layout must differ from v2");
-        let decoded = CampaignCheckpoint::from_bytes(&v1_bytes).unwrap();
+        let v1_bytes = include_bytes!("../tests/fixtures/checkpoint_v1.ckpt");
+        assert_eq!(&v1_bytes[8..12], &1u32.to_le_bytes(), "a v1 file");
+        let decoded = CampaignCheckpoint::from_bytes(v1_bytes).unwrap();
         assert_eq!(decoded.config.allocation, AllocationPolicy::Equal);
         assert_eq!(decoded.config.floor_trials, 1);
         // Everything else — pools, baseline, provenance — survives intact,
@@ -704,7 +677,9 @@ mod tests {
             unit_trials: 4,
             data_meta: vec![("data.kind".into(), "blobs".into())],
         };
-        let decoded = CampaignSpec::from_bytes(&spec.to_bytes_v1()).unwrap();
+        let v1_bytes = include_bytes!("../tests/fixtures/spec_v1.bin");
+        assert_eq!(&v1_bytes[8..12], &1u32.to_le_bytes(), "a v1 file");
+        let decoded = CampaignSpec::from_bytes(v1_bytes).unwrap();
         assert_eq!(decoded.config.allocation, AllocationPolicy::Equal);
         assert_eq!(decoded.config.floor_trials, 1);
         assert_eq!(decoded, spec);

@@ -26,8 +26,9 @@
 //! * [`CampaignCheckpoint`] — resumable campaign-state snapshots
 //!   (atomic-rename publication, typed torn-file errors; [`campaign_state`]
 //!   documents the crash-safety contract),
-//! * [`json`] — a minimal JSON parse/emit tree for the machine-readable
-//!   reports the `fitact` CLI exchanges with CI gates,
+//! * [`json`] — the workspace's one JSON writer and parser: a minimal tree
+//!   for the machine-readable reports the `fitact` CLI exchanges with CI
+//!   gates, including the rendering of campaign reports,
 //! * [`golden`] — train-once/load-forever artifact caching for tests,
 //!   examples and benches.
 //!

@@ -130,7 +130,7 @@ fn v1_artifacts_fall_back_to_owned_buffers() {
     let dir = tmp_dir("v1");
     let path = dir.join("model_v1.fitact");
     let artifact = protected_artifact();
-    std::fs::write(&path, artifact.to_bytes_v1()).unwrap();
+    std::fs::write(&path, include_bytes!("fixtures/mapped_cnn_v1.fitact")).unwrap();
 
     let fallback = MappedArtifact::open(&path).unwrap();
     assert!(!fallback.is_mapped(), "v1 must take the owned path");

@@ -183,8 +183,8 @@ fn bad_magic_and_unsupported_version_are_typed() {
     ));
 }
 
-/// The legacy v1 encoding (inline parameter values) still decodes to the
-/// same artifact — downgrade interchange with older readers keeps working.
+/// A legacy v1 file (inline parameter values), written by the v1 encoder
+/// before it was removed, still decodes to the same artifact.
 #[test]
 fn v1_downgrade_encoding_still_decodes() {
     let mut base = cnn();
@@ -196,11 +196,13 @@ fn v1_downgrade_encoding_still_decodes() {
     let scheme = ProtectionScheme::FitAct { slope: 8.0 };
     apply_protection(&mut base, &profile, scheme).unwrap();
     let artifact = ModelArtifact::capture_protected(&base, Some(&profile), Some(scheme)).unwrap();
-    let v1 = artifact.to_bytes_v1();
-    let v2 = artifact.to_bytes();
-    assert_ne!(v1, v2, "the two encodings are distinct layouts");
-    assert_eq!(ModelArtifact::from_bytes(&v1).unwrap(), artifact);
-    assert_eq!(ModelArtifact::from_bytes(&v2).unwrap(), artifact);
+    let v1 = include_bytes!("fixtures/cnn_fitact_v1.fitact");
+    assert_eq!(&v1[8..12], &1u32.to_le_bytes(), "a v1 file");
+    assert_eq!(ModelArtifact::from_bytes(v1).unwrap(), artifact);
+    assert_eq!(
+        ModelArtifact::from_bytes(&artifact.to_bytes()).unwrap(),
+        artifact
+    );
 }
 
 /// An artifact whose spec was tampered with (layer shape no longer matches
@@ -313,30 +315,6 @@ fn native_truncation_yields_typed_errors_everywhere() {
                     "{precision}, cut at {cut}: expected a typed truncation error, got {other:?}"
                 ),
             }
-        }
-    }
-}
-
-/// A native-precision artifact downgrades to the v1 encoding by storing the
-/// dequantized f32 values — older readers keep working, losing only the
-/// native storage (not the values it decodes to).
-#[test]
-fn native_artifacts_downgrade_to_v1_as_f32() {
-    for precision in [Precision::F16, Precision::Int8] {
-        let mut net = cnn();
-        net.quantize_to(precision);
-        let artifact = ModelArtifact::capture(&net).unwrap();
-        let v1 = ModelArtifact::from_bytes(&artifact.to_bytes_v1()).unwrap();
-        assert_eq!(v1.format_version(), 2, "{precision}: v1 decode is all-f32");
-        let reloaded = v1.instantiate().unwrap();
-        net.quantize_to(Precision::F32);
-        for (a, b) in net.params().iter().zip(reloaded.params()) {
-            assert_eq!(
-                a.data(),
-                b.data(),
-                "{precision}: dequantized `{}` via v1",
-                a.name()
-            );
         }
     }
 }

@@ -43,7 +43,6 @@ pub mod models;
 pub mod network;
 pub mod optim;
 mod param;
-pub mod schedule;
 pub mod spec;
 pub mod trace;
 

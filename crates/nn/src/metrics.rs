@@ -131,98 +131,6 @@ impl SampleStats {
     }
 }
 
-/// A confusion matrix over `classes` labels.
-///
-/// Rows are true labels, columns are predictions. Useful for inspecting *what*
-/// a fault-corrupted model gets wrong (in practice corrupted models collapse
-/// onto one or two output classes, which shows up as dense columns here).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<u64>,
-}
-
-impl ConfusionMatrix {
-    /// Creates an empty confusion matrix for `classes` labels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes == 0`.
-    pub fn new(classes: usize) -> Self {
-        assert!(classes > 0, "a confusion matrix needs at least one class");
-        ConfusionMatrix {
-            classes,
-            counts: vec![0; classes * classes],
-        }
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Records a single `(true label, prediction)` observation.
-    ///
-    /// Out-of-range labels are ignored.
-    pub fn record(&mut self, truth: usize, prediction: usize) {
-        if truth < self.classes && prediction < self.classes {
-            self.counts[truth * self.classes + prediction] += 1;
-        }
-    }
-
-    /// Records a batch of logits against targets.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `logits` is not `[batch, classes]`.
-    pub fn record_batch(&mut self, logits: &Tensor, targets: &[usize]) -> Result<(), NnError> {
-        if logits.ndim() != 2
-            || logits.dims()[0] != targets.len()
-            || logits.dims()[1] != self.classes
-        {
-            return Err(NnError::InvalidInput {
-                layer: "confusion_matrix".into(),
-                expected: format!("[{}, {}] logits", targets.len(), self.classes),
-                actual: logits.dims().to_vec(),
-            });
-        }
-        for (prediction, &truth) in logits.argmax_rows()?.into_iter().zip(targets) {
-            self.record(truth, prediction);
-        }
-        Ok(())
-    }
-
-    /// Count of observations with true label `truth` predicted as `prediction`.
-    pub fn count(&self, truth: usize, prediction: usize) -> u64 {
-        self.counts[truth * self.classes + prediction]
-    }
-
-    /// Total number of recorded observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Overall accuracy implied by the matrix (0.0 if nothing was recorded).
-    pub fn accuracy(&self) -> f32 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let correct: u64 = (0..self.classes).map(|c| self.count(c, c)).sum();
-        correct as f32 / total as f32
-    }
-
-    /// Per-class recall (`None` for classes with no observations).
-    pub fn recall(&self, class: usize) -> Option<f32> {
-        let row: u64 = (0..self.classes).map(|p| self.count(class, p)).sum();
-        if row == 0 {
-            None
-        } else {
-            Some(self.count(class, class) as f32 / row as f32)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,43 +194,5 @@ mod tests {
         assert_eq!(stats.min, 1.0);
         assert_eq!(stats.median, 3.0);
         assert_eq!(stats.max, 5.0);
-    }
-
-    #[test]
-    fn confusion_matrix_records_and_summarises() {
-        let mut cm = ConfusionMatrix::new(3);
-        assert_eq!(cm.classes(), 3);
-        cm.record(0, 0);
-        cm.record(0, 1);
-        cm.record(1, 1);
-        cm.record(2, 2);
-        assert_eq!(cm.total(), 4);
-        assert_eq!(cm.count(0, 1), 1);
-        assert_eq!(cm.accuracy(), 0.75);
-        assert_eq!(cm.recall(0), Some(0.5));
-        assert_eq!(cm.recall(1), Some(1.0));
-        // Out-of-range observations are ignored, unseen classes have no recall.
-        cm.record(7, 0);
-        assert_eq!(cm.total(), 4);
-        let empty = ConfusionMatrix::new(2);
-        assert_eq!(empty.accuracy(), 0.0);
-        assert_eq!(empty.recall(0), None);
-    }
-
-    #[test]
-    fn confusion_matrix_record_batch_validates_shapes() {
-        let mut cm = ConfusionMatrix::new(2);
-        let logits = Tensor::from_vec(vec![0.9, 0.1, 0.2, 0.8], &[2, 2]).unwrap();
-        cm.record_batch(&logits, &[0, 0]).unwrap();
-        assert_eq!(cm.count(0, 0), 1);
-        assert_eq!(cm.count(0, 1), 1);
-        assert!(cm.record_batch(&logits, &[0]).is_err());
-        assert!(cm.record_batch(&Tensor::zeros(&[2, 3]), &[0, 1]).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one class")]
-    fn zero_class_confusion_matrix_panics() {
-        let _ = ConfusionMatrix::new(0);
     }
 }

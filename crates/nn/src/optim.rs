@@ -208,72 +208,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// RMSprop: scales each update by a running estimate of the squared gradient.
-///
-/// Included for completeness of the substrate (some fault-aware training
-/// baselines use it); the paper itself uses SGD for stage 1 and Adam for
-/// stage 2.
-#[derive(Debug, Clone)]
-pub struct RmsProp {
-    lr: f32,
-    alpha: f32,
-    eps: f32,
-    v: Vec<Tensor>,
-}
-
-impl RmsProp {
-    /// Creates RMSprop with the standard smoothing constant `α = 0.99`.
-    pub fn new(lr: f32) -> Self {
-        RmsProp {
-            lr,
-            alpha: 0.99,
-            eps: 1e-8,
-            v: Vec::new(),
-        }
-    }
-
-    /// Creates RMSprop with an explicit smoothing constant.
-    pub fn with_alpha(lr: f32, alpha: f32) -> Self {
-        RmsProp {
-            lr,
-            alpha,
-            eps: 1e-8,
-            v: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for RmsProp {
-    fn step(&mut self, params: &mut [&mut Parameter]) {
-        if self.v.len() != params.len() {
-            self.v = params
-                .iter()
-                .map(|p| Tensor::zeros(p.data().dims()))
-                .collect();
-        }
-        for (i, p) in params.iter_mut().enumerate() {
-            if !p.trainable() {
-                continue;
-            }
-            let grads = p.grad().as_slice().to_vec();
-            let v = self.v[i].as_mut_slice();
-            let data = p.data_mut().as_mut_slice();
-            for j in 0..data.len() {
-                v[j] = self.alpha * v[j] + (1.0 - self.alpha) * grads[j] * grads[j];
-                data[j] -= self.lr * grads[j] / (v[j].sqrt() + self.eps);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,27 +306,6 @@ mod tests {
         opt.set_learning_rate(0.01);
         assert_eq!(opt.learning_rate(), 0.01);
         let mut opt = Adam::new(0.001);
-        opt.set_learning_rate(0.1);
-        assert_eq!(opt.learning_rate(), 0.1);
-    }
-
-    #[test]
-    fn rmsprop_minimises_quadratic_and_respects_freeze() {
-        let mut p = quadratic_param(4.0);
-        let mut opt = RmsProp::new(0.05);
-        for _ in 0..400 {
-            quadratic_grad(&mut p);
-            opt.step(&mut [&mut p]);
-        }
-        assert!(p.data().as_slice()[0].abs() < 0.05);
-
-        let mut frozen = quadratic_param(2.0);
-        frozen.freeze();
-        let mut opt = RmsProp::with_alpha(0.5, 0.9);
-        quadratic_grad(&mut frozen);
-        opt.step(&mut [&mut frozen]);
-        assert_eq!(frozen.data().as_slice()[0], 2.0);
-        assert_eq!(opt.learning_rate(), 0.5);
         opt.set_learning_rate(0.1);
         assert_eq!(opt.learning_rate(), 0.1);
     }

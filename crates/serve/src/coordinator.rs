@@ -45,9 +45,7 @@
 //! start, exactly as the single-process resume refuses them.
 
 use crate::http::Request;
-use crate::protocol::{
-    num, obj, unit_id, unit_round, Grant, UnitResult, WorkUnit, MAX_CONTROL_BODY,
-};
+use crate::protocol::{unit_id, unit_round, Grant, UnitResult, WorkUnit, MAX_CONTROL_BODY};
 use crate::transport::{Limits, Reply, Routes, Transport, DEFAULT_MAX_CONNECTIONS};
 use crate::ServeError;
 use fitact_data::DataSpec;
@@ -371,20 +369,20 @@ impl Shared {
     fn status_json(&self, ledger: &Ledger) -> JsonValue {
         let total: usize = ledger.driver.pools().iter().map(|p| p.len()).sum();
         let units = |state: fn(&UnitState) -> bool| {
-            num(ledger.units.iter().filter(|s| state(&s.state)).count() as f64)
+            JsonValue::from(ledger.units.iter().filter(|s| state(&s.state)).count())
         };
-        obj(vec![
-            ("round", num(ledger.driver.round() as f64)),
-            ("total_trials", num(total as f64)),
+        JsonValue::object([
+            ("round", ledger.driver.round().into()),
+            ("total_trials", total.into()),
             ("pending_units", units(|s| *s == UnitState::Pending)),
             (
                 "leased_units",
                 units(|s| matches!(s, UnitState::Leased { .. })),
             ),
             ("done_units", units(|s| *s == UnitState::Done)),
-            ("finished", JsonValue::Bool(ledger.driver.is_finished())),
-            ("converged", JsonValue::Bool(ledger.driver.converged())),
-            ("stopping", JsonValue::Bool(ledger.stopping)),
+            ("finished", ledger.driver.is_finished().into()),
+            ("converged", ledger.driver.converged().into()),
+            ("stopping", ledger.stopping.into()),
         ])
     }
 }
@@ -413,18 +411,13 @@ impl Routes for Shared {
                 match merged {
                     Ok(fresh) => Reply::json(
                         200,
-                        obj(vec![
-                            ("status", JsonValue::String("ok".into())),
-                            ("fresh", JsonValue::Bool(fresh)),
-                        ]),
+                        JsonValue::object([("status", "ok".into()), ("fresh", fresh.into())]),
                     ),
                     Err(msg) => Reply::error(409, &msg),
                 }
             }
             ("GET", "/campaign/status") => Reply::json(200, self.status_json(&self.lock())),
-            ("GET", "/healthz") => {
-                Reply::json(200, obj(vec![("status", JsonValue::String("ok".into()))]))
-            }
+            ("GET", "/healthz") => Reply::json(200, JsonValue::object([("status", "ok".into())])),
             _ => Reply::error(404, "unknown route"),
         }
     }

@@ -144,6 +144,9 @@ impl From<fitact_io::IoError> for ServeError {
 }
 
 #[cfg(test)]
+mod fuzz;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

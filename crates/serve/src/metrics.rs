@@ -488,183 +488,110 @@ impl MetricsSnapshot {
         let histogram = JsonValue::Object(
             self.batch_histogram
                 .iter()
-                .map(|&(size, count)| (size.to_string(), JsonValue::Number(count as f64)))
+                .map(|&(size, count)| (size.to_string(), count.into()))
                 .collect(),
         );
-        let latency = match &self.latency_us {
-            None => JsonValue::Null,
-            Some(p) => JsonValue::Object(vec![
-                ("count".into(), JsonValue::Number(p.count as f64)),
-                ("p50".into(), JsonValue::Number(p.p50 as f64)),
-                ("p90".into(), JsonValue::Number(p.p90 as f64)),
-                ("p99".into(), JsonValue::Number(p.p99 as f64)),
-                ("max".into(), JsonValue::Number(p.max as f64)),
-            ]),
-        };
-        JsonValue::Object(vec![
+        let latency = self.latency_us.as_ref().map_or(JsonValue::Null, |p| {
+            JsonValue::object([
+                ("count", p.count.into()),
+                ("p50", p.p50.into()),
+                ("p90", p.p90.into()),
+                ("p99", p.p99.into()),
+                ("max", p.max.into()),
+            ])
+        });
+        let layers = self.layer_violations.iter().map(|l| {
+            let rate = if l.elements > 0 {
+                l.violations as f64 / l.elements as f64
+            } else {
+                0.0
+            };
+            let layer = JsonValue::object([
+                ("violations", l.violations.into()),
+                ("elements", l.elements.into()),
+                ("rate", rate.into()),
+            ]);
+            (l.label.clone(), layer)
+        });
+        let (recovery, canary, connections) = (&self.recovery, &self.canary, &self.connections);
+        JsonValue::object([
+            ("uptime_seconds", self.uptime_seconds.into()),
+            ("rows_total", self.rows_total.into()),
+            ("responses_total", self.responses_total.into()),
+            ("errors_total", self.errors_total.into()),
+            ("batches_total", self.batches_total.into()),
+            ("reloads_total", self.reloads_total.into()),
+            ("batch_size_histogram", histogram),
+            ("latency_us", latency),
+            ("latency_resets_total", self.latency_resets_total.into()),
             (
-                "uptime_seconds".into(),
-                JsonValue::Number(self.uptime_seconds),
+                "violations",
+                JsonValue::object([
+                    ("batches_total", self.violation_batches_total.into()),
+                    ("layers", JsonValue::Object(layers.collect())),
+                ]),
             ),
             (
-                "rows_total".into(),
-                JsonValue::Number(self.rows_total as f64),
-            ),
-            (
-                "responses_total".into(),
-                JsonValue::Number(self.responses_total as f64),
-            ),
-            (
-                "errors_total".into(),
-                JsonValue::Number(self.errors_total as f64),
-            ),
-            (
-                "batches_total".into(),
-                JsonValue::Number(self.batches_total as f64),
-            ),
-            (
-                "reloads_total".into(),
-                JsonValue::Number(self.reloads_total as f64),
-            ),
-            ("batch_size_histogram".into(), histogram),
-            ("latency_us".into(), latency),
-            (
-                "latency_resets_total".into(),
-                JsonValue::Number(self.latency_resets_total as f64),
-            ),
-            (
-                "violations".into(),
-                JsonValue::Object(vec![
+                "recovery",
+                JsonValue::object([
                     (
-                        "batches_total".into(),
-                        JsonValue::Number(self.violation_batches_total as f64),
+                        "flagged_batches_total",
+                        recovery.flagged_batches_total.into(),
                     ),
                     (
-                        "layers".into(),
-                        JsonValue::Object(
-                            self.layer_violations
-                                .iter()
-                                .map(|l| {
-                                    let rate = if l.elements > 0 {
-                                        l.violations as f64 / l.elements as f64
-                                    } else {
-                                        0.0
-                                    };
-                                    (
-                                        l.label.clone(),
-                                        JsonValue::Object(vec![
-                                            (
-                                                "violations".into(),
-                                                JsonValue::Number(l.violations as f64),
-                                            ),
-                                            (
-                                                "elements".into(),
-                                                JsonValue::Number(l.elements as f64),
-                                            ),
-                                            ("rate".into(), JsonValue::Number(rate)),
-                                        ]),
-                                    )
-                                })
-                                .collect(),
-                        ),
+                        "retried_batches_total",
+                        recovery.retried_batches_total.into(),
+                    ),
+                    ("retry_transient_rows", recovery.retry_transient_rows.into()),
+                    (
+                        "retry_persistent_rows",
+                        recovery.retry_persistent_rows.into(),
                     ),
                 ]),
             ),
             (
-                "recovery".into(),
-                JsonValue::Object(vec![
+                "canary",
+                JsonValue::object([
+                    ("batches_total", canary.batches_total.into()),
+                    ("faults_injected_total", canary.faults_injected_total.into()),
+                    ("violations_total", canary.violations_total.into()),
                     (
-                        "flagged_batches_total".into(),
-                        JsonValue::Number(self.recovery.flagged_batches_total as f64),
+                        "injected_batches_total",
+                        canary.injected_batches_total.into(),
                     ),
                     (
-                        "retried_batches_total".into(),
-                        JsonValue::Number(self.recovery.retried_batches_total as f64),
+                        "detected_batches_total",
+                        canary.detected_batches_total.into(),
+                    ),
+                    ("dropped_total", canary.dropped_total.into()),
+                    (
+                        "detection_coverage",
+                        canary
+                            .detection_coverage()
+                            .map_or(JsonValue::Null, JsonValue::from),
                     ),
                     (
-                        "retry_transient_rows".into(),
-                        JsonValue::Number(self.recovery.retry_transient_rows as f64),
+                        "retry_clean_match_rows",
+                        canary.retry_clean_match_rows.into(),
                     ),
-                    (
-                        "retry_persistent_rows".into(),
-                        JsonValue::Number(self.recovery.retry_persistent_rows as f64),
-                    ),
+                    ("retry_mismatch_rows", canary.retry_mismatch_rows.into()),
+                    ("retry_transient_rows", canary.retry_transient_rows.into()),
                 ]),
             ),
             (
-                "canary".into(),
-                JsonValue::Object(vec![
+                "connections",
+                JsonValue::object([
+                    ("accepted_total", connections.accepted_total.into()),
+                    ("load_shed_total", connections.load_shed_total.into()),
                     (
-                        "batches_total".into(),
-                        JsonValue::Number(self.canary.batches_total as f64),
+                        "keepalive_reuses_total",
+                        connections.keepalive_reuses_total.into(),
                     ),
+                    ("io_timeouts_total", connections.io_timeouts_total.into()),
+                    ("idle_closed_total", connections.idle_closed_total.into()),
                     (
-                        "faults_injected_total".into(),
-                        JsonValue::Number(self.canary.faults_injected_total as f64),
-                    ),
-                    (
-                        "violations_total".into(),
-                        JsonValue::Number(self.canary.violations_total as f64),
-                    ),
-                    (
-                        "injected_batches_total".into(),
-                        JsonValue::Number(self.canary.injected_batches_total as f64),
-                    ),
-                    (
-                        "detected_batches_total".into(),
-                        JsonValue::Number(self.canary.detected_batches_total as f64),
-                    ),
-                    (
-                        "dropped_total".into(),
-                        JsonValue::Number(self.canary.dropped_total as f64),
-                    ),
-                    (
-                        "detection_coverage".into(),
-                        match self.canary.detection_coverage() {
-                            Some(coverage) => JsonValue::Number(coverage),
-                            None => JsonValue::Null,
-                        },
-                    ),
-                    (
-                        "retry_clean_match_rows".into(),
-                        JsonValue::Number(self.canary.retry_clean_match_rows as f64),
-                    ),
-                    (
-                        "retry_mismatch_rows".into(),
-                        JsonValue::Number(self.canary.retry_mismatch_rows as f64),
-                    ),
-                    (
-                        "retry_transient_rows".into(),
-                        JsonValue::Number(self.canary.retry_transient_rows as f64),
-                    ),
-                ]),
-            ),
-            (
-                "connections".into(),
-                JsonValue::Object(vec![
-                    (
-                        "accepted_total".into(),
-                        JsonValue::Number(self.connections.accepted_total as f64),
-                    ),
-                    (
-                        "load_shed_total".into(),
-                        JsonValue::Number(self.connections.load_shed_total as f64),
-                    ),
-                    (
-                        "keepalive_reuses_total".into(),
-                        JsonValue::Number(self.connections.keepalive_reuses_total as f64),
-                    ),
-                    (
-                        "io_timeouts_total".into(),
-                        JsonValue::Number(self.connections.io_timeouts_total as f64),
-                    ),
-                    (
-                        "idle_closed_total".into(),
-                        JsonValue::Number(self.connections.idle_closed_total as f64),
-                    ),
-                    (
-                        "setup_failures_total".into(),
-                        JsonValue::Number(self.connections.setup_failures_total as f64),
+                        "setup_failures_total",
+                        connections.setup_failures_total.into(),
                     ),
                 ]),
             ),

@@ -71,19 +71,6 @@ pub enum Grant {
     Done,
 }
 
-pub(crate) fn num(v: f64) -> JsonValue {
-    JsonValue::Number(v)
-}
-
-pub(crate) fn obj(entries: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
-}
-
 fn as_u64(value: Option<&JsonValue>, what: &str) -> Result<u64, String> {
     let raw = value
         .and_then(JsonValue::as_f64)
@@ -98,22 +85,20 @@ impl Grant {
     /// Encodes the grant as a JSON control message.
     pub fn to_json(&self) -> String {
         match self {
-            Grant::Unit { unit, lease_ms } => obj(vec![
-                ("status", JsonValue::String("unit".into())),
-                ("id", num(unit.id as f64)),
-                ("stratum", num(unit.stratum as f64)),
-                ("start", num(unit.start as f64)),
-                ("count", num(unit.count as f64)),
-                ("lease_ms", num(*lease_ms as f64)),
-            ])
-            .to_string(),
-            Grant::Wait { retry_ms } => obj(vec![
-                ("status", JsonValue::String("wait".into())),
-                ("retry_ms", num(*retry_ms as f64)),
-            ])
-            .to_string(),
-            Grant::Done => obj(vec![("status", JsonValue::String("done".into()))]).to_string(),
+            Grant::Unit { unit, lease_ms } => JsonValue::object([
+                ("status", "unit".into()),
+                ("id", unit.id.into()),
+                ("stratum", unit.stratum.into()),
+                ("start", unit.start.into()),
+                ("count", unit.count.into()),
+                ("lease_ms", (*lease_ms).into()),
+            ]),
+            Grant::Wait { retry_ms } => {
+                JsonValue::object([("status", "wait".into()), ("retry_ms", (*retry_ms).into())])
+            }
+            Grant::Done => JsonValue::object([("status", "done".into())]),
         }
+        .to_string()
     }
 
     /// Decodes a grant control message.
@@ -162,17 +147,17 @@ impl UnitResult {
             .iter()
             .map(|p| {
                 JsonValue::Array(vec![
-                    num(f64::from(p.accuracy.to_bits())),
-                    num(p.faults as f64),
+                    f64::from(p.accuracy.to_bits()).into(),
+                    p.faults.into(),
                 ])
             })
             .collect();
-        obj(vec![
-            ("worker", JsonValue::String(self.worker.clone())),
-            ("id", num(self.unit.id as f64)),
-            ("stratum", num(self.unit.stratum as f64)),
-            ("start", num(self.unit.start as f64)),
-            ("count", num(self.unit.count as f64)),
+        JsonValue::object([
+            ("worker", self.worker.as_str().into()),
+            ("id", self.unit.id.into()),
+            ("stratum", self.unit.stratum.into()),
+            ("start", self.unit.start.into()),
+            ("count", self.unit.count.into()),
             ("points", JsonValue::Array(points)),
         ])
         .to_string()

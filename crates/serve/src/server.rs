@@ -670,54 +670,33 @@ impl Routes for Shared {
 }
 
 fn status_json(status: &str) -> JsonValue {
-    JsonValue::Object(vec![("status".into(), JsonValue::String(status.into()))])
+    JsonValue::object([("status", status.into())])
 }
 
 fn health_json(shared: &Shared) -> JsonValue {
     let model = shared.current_model();
-    JsonValue::Object(vec![
-        ("status".into(), JsonValue::String("ok".into())),
-        ("model".into(), JsonValue::String(model.name.clone())),
+    let input_shape = model.input_shape.iter().map(|&d| d.into()).collect();
+    JsonValue::object([
+        ("status", "ok".into()),
+        ("model", model.name.as_str().into()),
         (
-            "scheme".into(),
+            "scheme",
             model
                 .scheme
-                .clone()
-                .map(JsonValue::String)
-                .unwrap_or(JsonValue::Null),
+                .as_deref()
+                .map_or(JsonValue::Null, JsonValue::from),
         ),
+        ("input_shape", JsonValue::Array(input_shape)),
+        ("num_parameters", model.num_parameters.into()),
+        ("precision", model.precision.name().into()),
+        ("mapped", model.mapped.into()),
         (
-            "input_shape".into(),
-            JsonValue::Array(
-                model
-                    .input_shape
-                    .iter()
-                    .map(|&d| JsonValue::Number(d as f64))
-                    .collect(),
-            ),
+            "generation",
+            shared.generation.load(Ordering::Acquire).into(),
         ),
-        (
-            "num_parameters".into(),
-            JsonValue::Number(model.num_parameters as f64),
-        ),
-        (
-            "precision".into(),
-            JsonValue::String(model.precision.name().into()),
-        ),
-        ("mapped".into(), JsonValue::Bool(model.mapped)),
-        (
-            "generation".into(),
-            JsonValue::Number(shared.generation.load(Ordering::Acquire) as f64),
-        ),
-        ("workers".into(), JsonValue::Number(shared.workers as f64)),
-        (
-            "queue_depth".into(),
-            JsonValue::Number(shared.queue.depth() as f64),
-        ),
-        (
-            "max_batch".into(),
-            JsonValue::Number(shared.queue.max_batch() as f64),
-        ),
+        ("workers", shared.workers.into()),
+        ("queue_depth", shared.queue.depth().into()),
+        ("max_batch", shared.queue.max_batch().into()),
     ])
 }
 
@@ -810,25 +789,21 @@ fn predict(shared: &Shared, body: &[u8]) -> Reply {
         match result.outcome {
             Ok(output) => {
                 outputs.push(JsonValue::Array(
-                    output
-                        .logits
-                        .iter()
-                        .map(|&v| JsonValue::Number(f64::from(v)))
-                        .collect(),
+                    output.logits.iter().map(|&v| v.into()).collect(),
                 ));
-                classes.push(JsonValue::Number(output.class as f64));
-                batch_sizes.push(JsonValue::Number(result.batch_size as f64));
+                classes.push(output.class.into());
+                batch_sizes.push(result.batch_size.into());
             }
             Err(message) => return Reply::error(500, &message),
         }
     }
     Reply::json(
         200,
-        JsonValue::Object(vec![
-            ("model".into(), JsonValue::String(model.name.clone())),
-            ("outputs".into(), JsonValue::Array(outputs)),
-            ("classes".into(), JsonValue::Array(classes)),
-            ("batch_sizes".into(), JsonValue::Array(batch_sizes)),
+        JsonValue::object([
+            ("model", model.name.as_str().into()),
+            ("outputs", JsonValue::Array(outputs)),
+            ("classes", JsonValue::Array(classes)),
+            ("batch_sizes", JsonValue::Array(batch_sizes)),
         ]),
     )
 }
@@ -846,13 +821,10 @@ fn reload(shared: &Shared) -> Reply {
             shared.metrics.on_reload();
             Reply::json(
                 200,
-                JsonValue::Object(vec![
-                    ("status".into(), JsonValue::String("reloaded".into())),
-                    ("generation".into(), JsonValue::Number(generation as f64)),
-                    (
-                        "num_parameters".into(),
-                        JsonValue::Number(num_parameters as f64),
-                    ),
+                JsonValue::object([
+                    ("status", "reloaded".into()),
+                    ("generation", generation.into()),
+                    ("num_parameters", num_parameters.into()),
                 ]),
             )
         }
@@ -887,6 +859,21 @@ mod tests {
             let err = parse_rows(body, 2).unwrap_err();
             assert!(err.contains(needle), "{err}");
         }
+    }
+
+    /// Mutated `/predict` bodies yield rows of the model's width or a typed
+    /// error, never a panic.
+    #[test]
+    fn parse_rows_survives_mutated_bodies() {
+        use crate::fuzz::{mutants, MUTANTS_PER_SEED, PREDICT_BODY};
+        let mut ok = 0;
+        for body in mutants(PREDICT_BODY.as_bytes(), 0x5EED, MUTANTS_PER_SEED) {
+            if let Ok(rows) = parse_rows(&body, 4) {
+                ok += 1;
+                assert!(!rows.is_empty() && rows.iter().all(|row| row.len() == 4));
+            }
+        }
+        assert!(ok > 50, "{ok} mutated bodies parsed");
     }
 
     /// A row validated against the model current at enqueue time, then

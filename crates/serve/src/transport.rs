@@ -156,10 +156,7 @@ impl Reply {
 }
 
 fn error_json(message: &str) -> JsonValue {
-    JsonValue::Object(vec![(
-        "error".into(),
-        JsonValue::String(message.to_owned()),
-    )])
+    JsonValue::object([("error", message.into())])
 }
 
 /// What the event loop, the handlers and the owning handle share.

@@ -194,10 +194,11 @@ fn startup_on_corrupt_artifact_is_a_typed_error_not_a_panic() {
     // An unknown protection-scheme tag: decodes up to the scheme, then must
     // fail with `IoError::Corrupt` (the serve-relevant metadata edge case —
     // an operator pointing the server at an artifact from a newer build
-    // gets a clean refusal). The poke targets the v1 encoding, where the
-    // scheme section is the trailing bytes — which also pins that the
-    // server still reads (and type-checks) v1 artifacts at all.
-    let mut bytes = tiny_artifact().to_bytes_v1();
+    // gets a clean refusal). The poke targets a v1 file (`tiny_artifact`
+    // as the removed v1 encoder wrote it), where the scheme section is the
+    // trailing bytes — which also pins that the server still reads (and
+    // type-checks) v1 artifacts at all.
+    let mut bytes = include_bytes!("../../io/tests/fixtures/tiny_mlp_v1.fitact").to_vec();
     assert_eq!(bytes.pop(), Some(0), "trailing byte is the scheme marker");
     bytes.push(1); // scheme present
     bytes.push(250); // unknown tag

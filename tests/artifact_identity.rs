@@ -8,7 +8,7 @@ mod common;
 
 use fitact::{apply_protection, ActivationProfiler, ProtectionScheme};
 use fitact_faults::{quantize_network, Campaign, CampaignConfig, StatCampaignConfig};
-use fitact_io::ModelArtifact;
+use fitact_io::{JsonValue, ModelArtifact};
 use fitact_nn::{Mode, Network};
 
 fn eval_data() -> (fitact_tensor::Tensor, Vec<usize>) {
@@ -78,7 +78,11 @@ fn assert_identity(mut net: Network, scheme: Option<ProtectionScheme>) {
         report_a, report_b,
         "statistical campaign reports must match"
     );
-    assert_eq!(report_a.to_json(), report_b.to_json(), "JSON reports match");
+    assert_eq!(
+        JsonValue::from(&report_a).to_string(),
+        JsonValue::from(&report_b).to_string(),
+        "JSON reports match"
+    );
 }
 
 #[test]
