@@ -71,7 +71,7 @@ fn forward_all(net: &mut Network, inputs: &Tensor, batch: usize, staging: &mut T
     while start < SAMPLES {
         let end = (start + batch).min(SAMPLES);
         copy_batch_into(inputs, start, end, staging).expect("slice");
-        let logits = net.forward(staging, Mode::Eval).expect("forward");
+        let logits = net.forward(staging, Mode::Infer).expect("forward");
         out.extend_from_slice(logits.as_slice());
         start = end;
     }
@@ -208,7 +208,7 @@ fn emit_precision_json(smoke: bool) -> String {
                 while start < ROWS {
                     let end = (start + BATCH).min(ROWS);
                     copy_batch_into(&inputs, start, end, &mut staging).expect("slice");
-                    let logits = net.forward(&staging, Mode::Eval).expect("forward");
+                    let logits = net.forward(&staging, Mode::Infer).expect("forward");
                     out.extend_from_slice(logits.as_slice());
                     start = end;
                 }

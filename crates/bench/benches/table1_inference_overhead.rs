@@ -47,14 +47,14 @@ fn bench_inference(c: &mut Criterion) {
             BenchmarkId::new("relu", architecture.name()),
             &(),
             |b, ()| {
-                b.iter(|| relu_net.forward(&input, Mode::Eval).expect("forward"));
+                b.iter(|| relu_net.forward(&input, Mode::Infer).expect("forward"));
             },
         );
         group.bench_with_input(
             BenchmarkId::new("fitact", architecture.name()),
             &(),
             |b, ()| {
-                b.iter(|| fitact_net.forward(&input, Mode::Eval).expect("forward"));
+                b.iter(|| fitact_net.forward(&input, Mode::Infer).expect("forward"));
             },
         );
     }

@@ -41,11 +41,11 @@ fn unit_profile(network: &mut Network) -> ActivationProfile {
 fn forward_ms(network: &mut Network, reps: usize) -> Result<f64, Box<dyn std::error::Error>> {
     let input = Tensor::zeros(&[1, 3, 32, 32]);
     // Warm-up.
-    network.forward(&input, Mode::Eval)?;
+    network.forward(&input, Mode::Infer)?;
     let mut times = Vec::with_capacity(reps);
     for _ in 0..reps {
         let start = Instant::now();
-        network.forward(&input, Mode::Eval)?;
+        network.forward(&input, Mode::Infer)?;
         times.push(start.elapsed().as_secs_f64() * 1e3);
     }
     times.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));

@@ -548,14 +548,7 @@ fn campaign_coordinator(args: &Args) -> Result<JsonValue, CliError> {
             let status = coordinator.status();
             coordinator.shutdown();
             let checkpoint = args.get("checkpoint").unwrap_or("(none)");
-            let status = JsonValue::parse(&status).ok();
-            let field = |key| {
-                status
-                    .as_ref()
-                    .and_then(|s| s.get(key))
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0) as usize
-            };
+            let field = |key| status.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0) as usize;
             let (rounds, trials) = (field("round"), field("total_trials"));
             Ok(resumable_result(
                 std::path::Path::new(checkpoint),

@@ -46,7 +46,6 @@ pub struct BoundedRelu {
     kind: Kind,
     /// One bound for a layer kind, else one per channel or per neuron.
     lambda: Parameter,
-    cached_input: Option<Tensor>,
 }
 
 /// How many values share one bound and what a value above it becomes; each
@@ -149,11 +148,7 @@ impl BoundedRelu {
             .expect("bounds vector matches its own length");
         let mut lambda = Parameter::new("lambda", tensor);
         lambda.freeze();
-        BoundedRelu {
-            kind,
-            lambda,
-            cached_input: None,
-        }
+        BoundedRelu { kind, lambda }
     }
 
     fn bounds(&self) -> &[f32] {
@@ -206,7 +201,6 @@ impl Activation for BoundedRelu {
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         self.check_input(input)?;
-        self.cached_input = Some(input.clone());
         let mut out = input.clone();
         let (values, bounds) = (out.as_mut_slice(), self.bounds());
         match self.kind {
@@ -227,11 +221,7 @@ impl Activation for BoundedRelu {
         Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward(self.name().into()))?;
+    fn backward(&mut self, input: &Tensor, grad_output: &Tensor) -> Result<Tensor, NnError> {
         // A layer bound checks no feature count, so its gradient must have
         // the input's exact shape; the others need only as many elements.
         if self.is_layer_bound() && grad_output.dims() != input.dims() {
@@ -328,6 +318,8 @@ impl Activation for BoundedRelu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fitact_nn::layers::ActivationLayer;
+    use fitact_nn::{Layer, Mode};
 
     /// Every kind, with bounds that differ between neurons and channels.
     fn every_kind() -> Vec<BoundedRelu> {
@@ -377,7 +369,7 @@ mod tests {
         let g = Tensor::from_vec(g, x.dims()).unwrap();
         for mut act in every_kind() {
             let y = act.forward(&x).unwrap();
-            let grad = act.backward(&g).unwrap();
+            let grad = act.backward(&x, &g).unwrap();
             let (mut expected_y, mut expected_grad, mut over) = (Vec::new(), Vec::new(), 0);
             for (i, (&xi, &gi)) in x.as_slice().iter().zip(g.as_slice()).enumerate() {
                 let neuron = i % 9;
@@ -469,9 +461,26 @@ mod tests {
             assert!(act.params().is_empty() && act.params_mut().is_empty());
             // A gradient of another shape is a tensor shape error.
             assert!(matches!(
-                act.backward(&Tensor::ones(&[6, 5])),
+                act.backward(&Tensor::ones(&[2, 3, 5]), &Tensor::ones(&[6, 5])),
                 Err(NnError::Tensor(TensorError::ShapeMismatch { .. }))
             ));
+        }
+    }
+
+    #[test]
+    fn a_slot_refuses_backward_until_a_forward_keeps_the_input() {
+        let x = special_input();
+        for act in every_kind() {
+            let name = act.name().to_string();
+            let mut slot = ActivationLayer::with_activation("s", &x.dims()[1..], Box::new(act));
+            let refused = |slot: &mut ActivationLayer| {
+                matches!(slot.backward(&x), Err(NnError::BackwardBeforeForward(_)))
+            };
+            assert!(refused(&mut slot), "{name}: no forward yet");
+            slot.forward(&x, Mode::Eval).unwrap();
+            assert!(slot.backward(&x).is_ok(), "{name}");
+            slot.forward(&x, Mode::Infer).unwrap();
+            assert!(refused(&mut slot), "{name}: an Infer forward keeps nothing");
         }
     }
 
@@ -492,15 +501,8 @@ mod tests {
         fn backward_masks_out_of_range_inputs() {
             let mut act = BoundedRelu::clip_act(2.0);
             let x = Tensor::from_vec(vec![-1.0, 1.0, 5.0], &[1, 3]).unwrap();
-            act.forward(&x).unwrap();
-            let g = act.backward(&Tensor::ones(&[1, 3])).unwrap();
+            let g = act.backward(&x, &Tensor::ones(&[1, 3])).unwrap();
             assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0]);
-        }
-
-        #[test]
-        fn backward_before_forward_errors() {
-            let mut act = BoundedRelu::clip_act(2.0);
-            assert!(act.backward(&Tensor::ones(&[1, 1])).is_err());
         }
 
         #[test]
@@ -542,15 +544,8 @@ mod tests {
         fn backward_zeroes_gradient_in_saturated_regions() {
             let mut act = BoundedRelu::ranger(2.0);
             let x = Tensor::from_vec(vec![-1.0, 1.0, 5.0], &[1, 3]).unwrap();
-            act.forward(&x).unwrap();
-            let g = act.backward(&Tensor::ones(&[1, 3])).unwrap();
+            let g = act.backward(&x, &Tensor::ones(&[1, 3])).unwrap();
             assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0]);
-        }
-
-        #[test]
-        fn backward_before_forward_errors() {
-            let mut act = BoundedRelu::ranger(2.0);
-            assert!(act.backward(&Tensor::ones(&[1, 1])).is_err());
         }
 
         #[test]
@@ -589,16 +584,16 @@ mod tests {
         fn backward_masks_like_forward() {
             let mut act = BoundedRelu::per_channel(&[1.0, 10.0], 1);
             let x = Tensor::from_vec(vec![5.0, 5.0, -1.0, 0.5], &[2, 2]).unwrap();
-            act.forward(&x).unwrap();
-            let g = act.backward(&Tensor::ones(&[2, 2])).unwrap();
+            let g = act.backward(&x, &Tensor::ones(&[2, 2])).unwrap();
             assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
         }
 
         #[test]
-        fn rejects_bad_inputs_and_premature_backward() {
+        fn rejects_bad_inputs_and_gradients() {
             let mut act = BoundedRelu::per_channel(&[1.0], 4);
             assert!(act.forward(&Tensor::zeros(&[1, 3])).is_err());
-            assert!(act.backward(&Tensor::zeros(&[1, 4])).is_err());
+            let x = Tensor::zeros(&[1, 4]);
+            assert!(act.backward(&x, &Tensor::zeros(&[1, 3])).is_err());
         }
 
         #[test]
@@ -654,8 +649,7 @@ mod tests {
         fn backward_masks_like_forward() {
             let mut act = BoundedRelu::per_neuron(&[1.0, 10.0]);
             let x = Tensor::from_vec(vec![0.5, 20.0, -1.0, 2.0], &[2, 2]).unwrap();
-            act.forward(&x).unwrap();
-            let g = act.backward(&Tensor::ones(&[2, 2])).unwrap();
+            let g = act.backward(&x, &Tensor::ones(&[2, 2])).unwrap();
             assert_eq!(g.as_slice(), &[1.0, 0.0, 0.0, 1.0]);
         }
 
@@ -669,10 +663,11 @@ mod tests {
         }
 
         #[test]
-        fn rejects_mismatched_inputs_and_premature_backward() {
+        fn rejects_mismatched_inputs_and_gradients() {
             let mut act = BoundedRelu::per_neuron(&[1.0, 1.0, 1.0]);
             assert!(act.forward(&Tensor::zeros(&[1, 2])).is_err());
-            assert!(act.backward(&Tensor::zeros(&[1, 3])).is_err());
+            let x = Tensor::zeros(&[1, 3]);
+            assert!(act.backward(&x, &Tensor::zeros(&[1, 2])).is_err());
         }
 
         #[test]

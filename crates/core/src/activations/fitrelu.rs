@@ -42,7 +42,6 @@ use fitact_tensor::Tensor;
 pub struct FitRelu {
     bounds: Parameter,
     slope: f32,
-    cached_input: Option<Tensor>,
 }
 
 impl FitRelu {
@@ -71,7 +70,6 @@ impl FitRelu {
         FitRelu {
             bounds: Parameter::new("lambda", tensor),
             slope,
-            cached_input: None,
         }
     }
 
@@ -196,19 +194,10 @@ impl Activation for FitRelu {
                     .map(|(&x, &lambda)| gate(x, lambda, k).y),
             );
         }
-        let out = Tensor::from_vec(out, input.dims()).expect("one output per input element");
-        match &mut self.cached_input {
-            Some(cached) => cached.copy_from(input),
-            None => self.cached_input = Some(input.clone()),
-        }
-        Ok(out)
+        Ok(Tensor::from_vec(out, input.dims()).expect("one output per input element"))
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward("fitrelu".into()))?;
+    fn backward(&mut self, input: &Tensor, grad_output: &Tensor) -> Result<Tensor, NnError> {
         if grad_output.numel() != input.numel() {
             return Err(NnError::InvalidInput {
                 layer: "fitrelu".into(),
@@ -288,6 +277,8 @@ mod gate_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fitact_nn::layers::ActivationLayer;
+    use fitact_nn::{Layer, Mode};
     use proptest::prelude::*;
 
     #[test]
@@ -326,9 +317,8 @@ mod tests {
     fn gradient_check_input_and_lambda() {
         let mut act = FitRelu::from_bounds(&[2.0, 3.0], 4.0);
         let x = Tensor::from_vec(vec![1.5, 2.5, 0.5, 3.5], &[2, 2]).unwrap();
-        act.forward(&x).unwrap();
         let g = Tensor::ones(&[2, 2]);
-        let grad_x = act.backward(&g).unwrap();
+        let grad_x = act.backward(&x, &g).unwrap();
         let analytic_lambda = act.bounds.grad().clone();
 
         let eps = 1e-3f32;
@@ -375,13 +365,11 @@ mod tests {
     fn lambda_gradient_accumulates_over_batch() {
         let mut act = FitRelu::from_bounds(&[2.0], 4.0);
         let x = Tensor::from_vec(vec![1.9, 1.9, 1.9], &[3, 1]).unwrap();
-        act.forward(&x).unwrap();
-        act.backward(&Tensor::ones(&[3, 1])).unwrap();
+        act.backward(&x, &Tensor::ones(&[3, 1])).unwrap();
         let single = {
             let mut a = FitRelu::from_bounds(&[2.0], 4.0);
-            a.forward(&Tensor::from_vec(vec![1.9], &[1, 1]).unwrap())
-                .unwrap();
-            a.backward(&Tensor::ones(&[1, 1])).unwrap();
+            let x = Tensor::from_vec(vec![1.9], &[1, 1]).unwrap();
+            a.backward(&x, &Tensor::ones(&[1, 1])).unwrap();
             a.bounds.grad().as_slice()[0]
         };
         assert!((act.bounds.grad().as_slice()[0] - 3.0 * single).abs() < 1e-5);
@@ -402,7 +390,20 @@ mod tests {
     fn rejects_bad_inputs() {
         let mut act = FitRelu::from_bounds(&[1.0, 2.0, 3.0], 8.0);
         assert!(act.forward(&Tensor::zeros(&[2, 2])).is_err());
-        assert!(act.backward(&Tensor::zeros(&[1, 3])).is_err());
+        let x = Tensor::zeros(&[1, 3]);
+        assert!(act.backward(&x, &Tensor::zeros(&[1, 2])).is_err());
+        // The slot holds the input copy, so it is the slot that refuses a
+        // backward no forward has prepared.
+        let mut slot = ActivationLayer::with_activation("fc", &[3], Box::new(act));
+        assert!(matches!(
+            slot.backward(&x),
+            Err(NnError::BackwardBeforeForward(_))
+        ));
+        slot.forward(&x, Mode::Infer).unwrap();
+        assert!(matches!(
+            slot.backward(&x),
+            Err(NnError::BackwardBeforeForward(_))
+        ));
     }
 
     #[test]

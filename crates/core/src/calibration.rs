@@ -136,7 +136,7 @@ impl ActivationProfiler {
             originals.push(slot.replace_activation(Box::new(RecordingRelu::new(shared, neurons))));
         }
 
-        // Feed the calibration set through in eval mode.
+        // Feed the calibration set through in inference mode.
         let result = self.run_forward_passes(network, inputs);
 
         // Restore the original activations regardless of forward success.
@@ -182,7 +182,7 @@ impl ActivationProfiler {
                 rows.push(inputs.index_axis0(i).map_err(NnError::from)?);
             }
             let batch = Tensor::stack(&rows).map_err(NnError::from)?;
-            network.forward(&batch, Mode::Eval)?;
+            network.forward(&batch, Mode::Infer)?;
             start = end;
         }
         Ok(())
@@ -194,16 +194,11 @@ impl ActivationProfiler {
 struct RecordingRelu {
     maxima: Arc<Mutex<Vec<f32>>>,
     neurons: usize,
-    cached_input: Option<Tensor>,
 }
 
 impl RecordingRelu {
     fn new(maxima: Arc<Mutex<Vec<f32>>>, neurons: usize) -> Self {
-        RecordingRelu {
-            maxima,
-            neurons,
-            cached_input: None,
-        }
+        RecordingRelu { maxima, neurons }
     }
 }
 
@@ -213,7 +208,6 @@ impl Activation for RecordingRelu {
     }
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.cached_input = Some(input.clone());
         let out = input.map(|v| v.max(0.0));
         let mut maxima = self.maxima.lock().expect("profiler mutex poisoned");
         for (i, &v) in out.as_slice().iter().enumerate() {
@@ -225,11 +219,7 @@ impl Activation for RecordingRelu {
         Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward("recording_relu".into()))?;
+    fn backward(&mut self, input: &Tensor, grad_output: &Tensor) -> Result<Tensor, NnError> {
         Ok(input.zip_map(grad_output, |x, g| if x > 0.0 { g } else { 0.0 })?)
     }
 

@@ -420,9 +420,7 @@ impl FitAct {
                 break;
             }
             best_bounds = snapshot_lambda(network, &lambda_indices);
-            constraint_satisfied = initial_accuracy
-                - network.evaluate(inputs, targets, self.config.batch_size)?
-                <= self.config.delta;
+            constraint_satisfied = initial_accuracy - current <= self.config.delta;
         }
 
         let final_accuracy = network.evaluate(inputs, targets, self.config.batch_size)?;

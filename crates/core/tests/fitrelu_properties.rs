@@ -46,8 +46,7 @@ proptest! {
     ) {
         let mut act = FitRelu::from_bounds(&[lambda, lambda], slope);
         let input = Tensor::from_vec(vec![x0, x1], &[1, 2]).unwrap();
-        act.forward(&input).unwrap();
-        let analytic = act.backward(&Tensor::ones(&[1, 2])).unwrap();
+        let analytic = act.backward(&input, &Tensor::ones(&[1, 2])).unwrap();
         let eps = 1e-2f32;
         for idx in 0..2 {
             let mut plus = input.clone();
@@ -77,8 +76,7 @@ proptest! {
     ) {
         let mut act = FitRelu::from_bounds(&[lambda], slope);
         let input = Tensor::from_vec(vec![x], &[1, 1]).unwrap();
-        act.forward(&input).unwrap();
-        act.backward(&Tensor::ones(&[1, 1])).unwrap();
+        act.backward(&input, &Tensor::ones(&[1, 1])).unwrap();
         let analytic = act.params()[0].grad().as_slice()[0];
         let eps = 1e-2f32;
         let numeric = {

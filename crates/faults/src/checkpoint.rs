@@ -11,11 +11,14 @@
 //! resumes there via [`Network::forward_from`].
 //!
 //! The resumed evaluation is **bit-identical** to a full forward of the
-//! faulted network: the skipped prefix is deterministic in [`Mode::Eval`] and
-//! its parameters are unfaulted by construction, and the suffix, the
-//! per-batch accuracy computation and the weighted accuracy accumulation are
-//! the very same code paths. This is pinned by the `checkpoint_identity`
-//! regression suite for all four fault models across 1/2/4 worker threads.
+//! faulted network: the skipped prefix is deterministic in [`Mode::Infer`]
+//! (whose outputs equal [`Mode::Eval`]'s bit for bit) and its parameters are
+//! unfaulted by construction, and the suffix, the per-batch accuracy
+//! computation and the weighted accuracy accumulation are the very same code
+//! paths. Capture and resumed forwards run in [`Mode::Infer`], so no layer
+//! copies its input or keeps other backward state along the way. This is
+//! pinned by the `checkpoint_identity` regression suite for all four fault
+//! models across 1/2/4 worker threads.
 //!
 //! Cost model: a full-forward campaign is `O(trials × depth)` layer
 //! executions; a resumed campaign is `O(depth + trials × suffix)`, where the
@@ -106,7 +109,7 @@ impl CheckpointCache {
             let end = (start + batch_size).min(n);
             copy_batch_into(inputs, start, end, &mut staging)?;
             let mut boundaries: Vec<Tensor> = Vec::with_capacity(depth);
-            let logits = network.forward_inspect(&staging, Mode::Eval, &mut |k, t| {
+            let logits = network.forward_inspect(&staging, Mode::Infer, &mut |k, t| {
                 // The output boundary is summarised by predictions/accuracy
                 // below; only the resumable input boundaries are stored.
                 if k < depth {
@@ -193,7 +196,8 @@ impl CheckpointCache {
             let batch_acc = if resume >= self.depth {
                 batch.clean_accuracy
             } else {
-                let logits = network.forward_from(resume, &batch.boundaries[resume], Mode::Eval)?;
+                let logits =
+                    network.forward_from(resume, &batch.boundaries[resume], Mode::Infer)?;
                 fitact_nn::metrics::accuracy(&logits, &targets[batch.start..batch.end])?
             };
             acc.push_weighted(batch_acc, batch.end - batch.start);

@@ -324,7 +324,7 @@ impl Activation for NoopActivation {
         Ok(input.clone())
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
+    fn backward(&mut self, _input: &Tensor, grad_output: &Tensor) -> Result<Tensor, NnError> {
         Ok(grad_output.clone())
     }
 
@@ -372,8 +372,8 @@ impl Activation for CorruptingActivation {
         Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        self.inner.backward(grad_output)
+    fn backward(&mut self, input: &Tensor, grad_output: &Tensor) -> Result<Tensor, NnError> {
+        self.inner.backward(input, grad_output)
     }
 
     fn eval_scalar(&self, x: f32, neuron: usize) -> f32 {
@@ -576,7 +576,7 @@ mod tests {
             fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
                 Ok(input.map(|x| x.clamp(0.0, 1.0)))
             }
-            fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
+            fn backward(&mut self, _: &Tensor, grad_output: &Tensor) -> Result<Tensor, NnError> {
                 Ok(grad_output.clone())
             }
             fn eval_scalar(&self, x: f32, _neuron: usize) -> f32 {

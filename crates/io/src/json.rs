@@ -430,19 +430,24 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run of plain characters up to the next `"` or `\` in
-            // one slice: both ends are ASCII, so they are char boundaries of
-            // the `&str` input and the run is valid UTF-8. Scanning once per
-            // run keeps parsing linear in the string's length.
+            // Copy the run of plain characters up to the next `"`, `\` or
+            // control character in one slice: all three are ASCII, so they
+            // are char boundaries of the `&str` input and the run is valid
+            // UTF-8. Scanning once per run keeps parsing linear in the
+            // string's length.
             let run = self.bytes[self.pos..]
                 .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .ok_or("unterminated string")?;
             out.push_str(&self.text[self.pos..self.pos + run]);
             self.pos += run;
-            if self.bytes[self.pos] == b'"' {
-                self.pos += 1;
-                return Ok(out);
+            match self.bytes[self.pos] {
+                b'"' => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                b'\\' => {}
+                _ => return Err(format!("unescaped control character at byte {}", self.pos)),
             }
             self.pos += 1;
             match self.peek() {
@@ -459,10 +464,11 @@ impl Parser<'_> {
                         .bytes
                         .get(self.pos + 1..self.pos + 5)
                         .ok_or("truncated \\u escape")?;
-                    let hex =
-                        std::str::from_utf8(hex).map_err(|_| "invalid \\u escape".to_string())?;
-                    let code = u32::from_str_radix(hex, 16)
-                        .map_err(|_| "invalid \\u escape".to_string())?;
+                    // Exactly four hex digits, and no sign.
+                    let code = hex
+                        .iter()
+                        .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+                        .ok_or_else(|| format!("invalid \\u escape at byte {}", self.pos))?;
                     out.push(
                         char::from_u32(code).ok_or_else(|| "invalid \\u code point".to_string())?,
                     );
@@ -474,21 +480,58 @@ impl Parser<'_> {
         }
     }
 
+    /// Skips a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let n = self.bytes[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        self.pos += n;
+        n
+    }
+
+    /// A number in the RFC 8259 grammar,
+    /// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`, whose value is
+    /// a finite `f64`: `01`, `1.`, `.5` and `1e999` are errors.
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
+        let invalid = || format!("invalid number at byte {start}");
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if matches!(self.peek(), Some(b'0'..=b'9')) {
+                    return Err(invalid());
+                }
+            }
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(invalid()),
+        }
+        if self.peek() == Some(b'.') {
             self.pos += 1;
+            if self.digits() == 0 {
+                return Err(invalid());
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(invalid());
+            }
         }
         let text = &self.text[start..self.pos];
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+        let value: f64 = text.parse().map_err(|_| invalid())?;
+        if !value.is_finite() {
+            return Err(format!("number `{text}` at byte {start} is out of range"));
+        }
+        Ok(JsonValue::Number(value))
     }
 }
 
@@ -558,9 +601,62 @@ mod tests {
 
     #[test]
     fn syntax_errors_are_reported() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "\"unterminated", "1..2"] {
-            assert!(JsonValue::parse(bad).is_err(), "{bad}");
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\" 1}",
+            "tru",
+            "\"unterminated",
+            "1..2",
+            // Numbers outside the RFC 8259 grammar, or not finite as f64.
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "-",
+            "-a",
+            ".5",
+            "+1",
+            "1e",
+            "1e+",
+            "1.e3",
+            "--1",
+            "0x10",
+            "1.5.2",
+            "1e999",
+            "-1e999",
+            "[1e400]",
+            // `\u` takes exactly four hex digits.
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u041""#,
+            r#""\u 041""#,
+            r#""\u00g1""#,
+            // Raw U+0000–U+001F inside a string.
+            "\"a\u{0}b\"",
+            "\"tab\there\"",
+            "\"line\nbreak\"",
+            "\"\u{1f}\"",
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "{bad:?}");
         }
+        let err = JsonValue::parse("1e999").unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn rfc_numbers_and_escapes_parse() {
+        for good in [
+            "0", "-0", "10", "1.5", "-0.25", "1e3", "1E+3", "2.5e-3", "1e-999",
+        ] {
+            assert!(JsonValue::parse(good).is_ok(), "{good}");
+        }
+        let escaped = JsonValue::parse(r#""\u0041\u00e9""#).unwrap();
+        assert_eq!(escaped.as_str(), Some("Aé"));
+        // DEL and everything above U+001F stay plain characters.
+        let plain = JsonValue::parse("\"\u{7f} \u{20}\"").unwrap();
+        assert_eq!(plain.as_str(), Some("\u{7f} \u{20}"));
     }
 
     #[test]

@@ -14,9 +14,13 @@ use std::fmt;
 /// A (possibly stateful, possibly trainable) activation function.
 ///
 /// Implementations operate on batched feature tensors of shape
-/// `[batch, ...feature_dims]`, cache whatever `backward` needs during
-/// `forward`, and may expose trainable parameters (the per-neuron bounds of
-/// FitReLU) through [`Activation::params_mut`].
+/// `[batch, ...feature_dims]` and may expose trainable parameters (the
+/// per-neuron bounds of FitReLU) through [`Activation::params_mut`]. They
+/// keep no copy of their input: the hosting
+/// [`ActivationLayer`](crate::layers::ActivationLayer) caches it in
+/// training and [`Mode::Eval`](crate::Mode::Eval) forwards and hands it
+/// back to [`Activation::backward`], so the forward mode never reaches this
+/// trait.
 ///
 /// The trait is object-safe: networks store activations as
 /// `Box<dyn Activation>` so that a trained model can have its ReLUs swapped
@@ -38,14 +42,14 @@ pub trait Activation: fmt::Debug + Send + Sync {
     /// activation's configured feature shape.
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError>;
 
-    /// Propagates `grad_output` (same shape as the forward output) back to the
-    /// input, accumulating gradients of any internal parameters.
+    /// Propagates `grad_output` (same shape as the forward output) back to
+    /// `input`, the tensor the matching forward received, accumulating
+    /// gradients of any internal parameters.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::BackwardBeforeForward`] if no forward pass has been
-    /// cached, or a shape error if `grad_output` does not match.
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError>;
+    /// Returns a shape error if `grad_output` does not match `input`.
+    fn backward(&mut self, input: &Tensor, grad_output: &Tensor) -> Result<Tensor, NnError>;
 
     /// Evaluates the activation at a single point for neuron `neuron`.
     ///
@@ -126,14 +130,12 @@ impl Clone for Box<dyn Activation> {
 /// # }
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct ReLU {
-    cached_input: Option<Tensor>,
-}
+pub struct ReLU;
 
 impl ReLU {
     /// Creates a new ReLU activation.
     pub fn new() -> Self {
-        ReLU { cached_input: None }
+        ReLU
     }
 }
 
@@ -143,15 +145,10 @@ impl Activation for ReLU {
     }
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.cached_input = Some(input.clone());
         Ok(input.map(|v| v.max(0.0)))
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward("relu".into()))?;
+    fn backward(&mut self, input: &Tensor, grad_output: &Tensor) -> Result<Tensor, NnError> {
         Ok(input.zip_map(grad_output, |x, g| if x > 0.0 { g } else { 0.0 })?)
     }
 
@@ -184,20 +181,9 @@ mod tests {
     fn relu_backward_masks_gradient() {
         let mut relu = ReLU::new();
         let x = Tensor::from_vec(vec![-1.0, 2.0, 0.0], &[1, 3]).unwrap();
-        relu.forward(&x).unwrap();
         let g = Tensor::from_vec(vec![1.0, 1.0, 1.0], &[1, 3]).unwrap();
-        let gx = relu.backward(&g).unwrap();
+        let gx = relu.backward(&x, &g).unwrap();
         assert_eq!(gx.as_slice(), &[0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn relu_backward_before_forward_errors() {
-        let mut relu = ReLU::new();
-        let g = Tensor::zeros(&[1, 1]);
-        assert!(matches!(
-            relu.backward(&g),
-            Err(NnError::BackwardBeforeForward(_))
-        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Adapter that hosts an [`Activation`] inside a layer stack.
 
 use crate::activation::Activation;
-use crate::layers::{Layer, Mode};
+use crate::layers::{cache_input, Layer, Mode};
 use crate::{NnError, Parameter, ReLU};
 use fitact_tensor::Tensor;
 
@@ -14,12 +14,16 @@ use fitact_tensor::Tensor;
 ///
 /// The slot records the per-sample feature shape (for example `[64, 32, 32]`
 /// after the first VGG16 convolution), which is what a per-neuron activation
-/// needs to size its bound tensor.
+/// needs to size its bound tensor. It also holds the input copy that
+/// [`Activation::backward`] reads, filled by [`Mode::Train`] and
+/// [`Mode::Eval`] forwards and dropped by [`Mode::Infer`] ones, so no
+/// activation keeps a cache of its own.
 #[derive(Debug, Clone)]
 pub struct ActivationLayer {
     activation: Box<dyn Activation>,
     feature_shape: Vec<usize>,
     label: String,
+    cached_input: Option<Tensor>,
 }
 
 impl ActivationLayer {
@@ -27,11 +31,7 @@ impl ActivationLayer {
     /// per-sample shape. `label` identifies the slot in diagnostics (for
     /// example `"features.1"`).
     pub fn relu(label: impl Into<String>, feature_shape: &[usize]) -> Self {
-        ActivationLayer {
-            activation: Box::new(ReLU::new()),
-            feature_shape: feature_shape.to_vec(),
-            label: label.into(),
-        }
+        Self::with_activation(label, feature_shape, Box::new(ReLU::new()))
     }
 
     /// Creates a slot holding an arbitrary activation.
@@ -44,6 +44,7 @@ impl ActivationLayer {
             activation,
             feature_shape: feature_shape.to_vec(),
             label: label.into(),
+            cached_input: None,
         }
     }
 
@@ -83,7 +84,7 @@ impl Layer for ActivationLayer {
         format!("act[{}]({})", self.label, self.activation.name())
     }
 
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
         if input.ndim() < 2 || input.dims()[1..] != self.feature_shape[..] {
             return Err(NnError::InvalidInput {
                 layer: self.name(),
@@ -101,11 +102,16 @@ impl Layer for ActivationLayer {
                 input.numel() as u64,
             );
         }
+        cache_input(&mut self.cached_input, input, mode);
         self.activation.forward(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        self.activation.backward(grad_output)
+        let input = self
+            .cached_input
+            .as_ref()
+            .ok_or_else(|| NnError::BackwardBeforeForward(self.name()))?;
+        self.activation.backward(input, grad_output)
     }
 
     fn params(&self) -> Vec<&Parameter> {
@@ -189,5 +195,20 @@ mod tests {
         slot.forward(&x, Mode::Train).unwrap();
         let g = slot.backward(&Tensor::ones(&[1, 2])).unwrap();
         assert_eq!(g.as_slice(), &[0.0, 1.0]);
+    }
+
+    #[test]
+    fn backward_needs_a_forward_that_kept_the_input() {
+        let mut slot = ActivationLayer::relu("fc", &[2]);
+        let x = Tensor::from_vec(vec![-1.0, 1.0], &[1, 2]).unwrap();
+        let g = Tensor::ones(&[1, 2]);
+        let refused = |slot: &mut ActivationLayer| {
+            matches!(slot.backward(&g), Err(NnError::BackwardBeforeForward(_)))
+        };
+        assert!(refused(&mut slot), "no forward yet");
+        let eval = slot.forward(&x, Mode::Eval).unwrap();
+        assert!(slot.backward(&g).is_ok());
+        assert_eq!(slot.forward(&x, Mode::Infer).unwrap(), eval);
+        assert!(refused(&mut slot), "an Infer forward drops the Eval cache");
     }
 }

@@ -178,14 +178,14 @@ impl Conv2d {
     pub fn forward_into(
         &mut self,
         input: &Tensor,
-        _mode: Mode,
+        mode: Mode,
         out: &mut Tensor,
     ) -> Result<(), NnError> {
         let (batch, h, w) = self.check_input(input)?;
         let (out_h, out_w) = self.output_size((h, w))?;
-        // Cached in both modes: the post-training stage runs eval-mode
+        // Cached in Train and Eval: the post-training stage runs eval-mode
         // forwards and still backpropagates through them.
-        cache_input(&mut self.cached_input, input);
+        cache_input(&mut self.cached_input, input, mode);
         let kmat = self.in_channels * self.kernel * self.kernel;
         let spatial = out_h * out_w;
         let in_size = self.in_channels * h * w;

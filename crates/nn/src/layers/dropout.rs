@@ -16,7 +16,10 @@ pub struct Dropout {
     p: f32,
     seed: u64,
     rng: StdRng,
-    cached_mask: Option<Tensor>,
+    /// What `backward` applies: the last [`Mode::Train`] mask, the identity
+    /// after a [`Mode::Eval`] forward, or nothing (no forward yet, or a
+    /// [`Mode::Infer`] one).
+    cached_mask: Option<Option<Tensor>>,
 }
 
 impl Dropout {
@@ -58,13 +61,13 @@ impl Layer for Dropout {
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
         match mode {
-            Mode::Eval => {
-                self.cached_mask = None;
+            Mode::Eval | Mode::Infer => {
+                self.cached_mask = mode.keeps_backward_state().then_some(None);
                 Ok(input.clone())
             }
             Mode::Train => {
                 if self.p == 0.0 {
-                    self.cached_mask = Some(Tensor::ones(input.dims()));
+                    self.cached_mask = Some(Some(Tensor::ones(input.dims())));
                     return Ok(input.clone());
                 }
                 let keep = 1.0 - self.p;
@@ -78,7 +81,7 @@ impl Layer for Dropout {
                     };
                 }
                 let out = input.mul(&mask)?;
-                self.cached_mask = Some(mask);
+                self.cached_mask = Some(Some(mask));
                 Ok(out)
             }
         }
@@ -86,9 +89,10 @@ impl Layer for Dropout {
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
         match &self.cached_mask {
-            Some(mask) => Ok(grad_output.mul(mask)?),
+            Some(Some(mask)) => Ok(grad_output.mul(mask)?),
             // Eval-mode forward: identity.
-            None => Ok(grad_output.clone()),
+            Some(None) => Ok(grad_output.clone()),
+            None => Err(NnError::BackwardBeforeForward(self.name())),
         }
     }
 
@@ -125,6 +129,12 @@ mod tests {
         assert_eq!(d.forward(&x, Mode::Eval).unwrap(), x);
         // Backward after eval is also identity.
         assert_eq!(d.backward(&x).unwrap(), x);
+        // Infer is the identity too, but leaves nothing to backpropagate.
+        assert_eq!(d.forward(&x, Mode::Infer).unwrap(), x);
+        assert!(matches!(
+            d.backward(&x),
+            Err(NnError::BackwardBeforeForward(_))
+        ));
     }
 
     #[test]

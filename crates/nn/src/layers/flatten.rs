@@ -25,7 +25,7 @@ impl Layer for Flatten {
         "flatten".into()
     }
 
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
         if input.ndim() < 2 {
             return Err(NnError::InvalidInput {
                 layer: self.name(),
@@ -33,7 +33,7 @@ impl Layer for Flatten {
                 actual: input.dims().to_vec(),
             });
         }
-        self.cached_dims = Some(input.dims().to_vec());
+        self.cached_dims = mode.keeps_backward_state().then(|| input.dims().to_vec());
         let batch = input.dims()[0];
         let features: usize = input.dims()[1..].iter().product();
         Ok(input.reshape(&[batch, features])?)

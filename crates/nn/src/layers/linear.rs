@@ -65,7 +65,7 @@ impl Layer for Linear {
         format!("linear({}→{})", self.in_features, self.out_features)
     }
 
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
         if input.ndim() != 2 || input.dims()[1] != self.in_features {
             return Err(NnError::InvalidInput {
                 layer: self.name(),
@@ -73,7 +73,7 @@ impl Layer for Linear {
                 actual: input.dims().to_vec(),
             });
         }
-        cache_input(&mut self.cached_input, input);
+        cache_input(&mut self.cached_input, input, mode);
         // y = x Wᵀ + b
         let (m, k, n) = (input.dims()[0], self.in_features, self.out_features);
         let bias = self.bias.data().as_slice();

@@ -1,8 +1,14 @@
 //! Network building blocks: the [`Layer`] trait and its implementations.
 //!
-//! Every layer owns its parameters, caches whatever it needs during `forward`
-//! and consumes that cache in `backward`. Layers are composed with
-//! [`Sequential`] and the ResNet [`Bottleneck`] block.
+//! Every layer owns its parameters. A [`Mode::Train`] or [`Mode::Eval`]
+//! forward also stores what `backward` reads (an input copy, BatchNorm's
+//! normalised values, max-pool argmaxes) and `backward` consumes it. A
+//! [`Mode::Infer`] forward computes the same output bits and stores nothing;
+//! it drops whatever an earlier forward left, so a `backward` after it
+//! returns [`NnError::BackwardBeforeForward`]. Activation functions keep no
+//! state of their own: their [`ActivationLayer`] slot holds the input copy.
+//! Layers are composed with [`Sequential`] and the ResNet [`Bottleneck`]
+//! block.
 
 mod activation_layer;
 mod conv;
@@ -28,25 +34,45 @@ use crate::{NnError, Parameter};
 use fitact_tensor::Tensor;
 use std::fmt;
 
-/// Whether a forward pass is part of training or inference.
+/// Whether a forward pass is part of training or inference, and whether a
+/// `backward` may follow it.
 ///
-/// Batch normalisation and dropout behave differently in the two modes.
+/// Batch normalisation and dropout behave differently in training.
+/// [`Mode::Eval`] and [`Mode::Infer`] compute the same outputs bit for bit;
+/// they differ only in what the layers keep for `backward`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Mode {
     /// Training: batch statistics are used and updated, dropout is active.
     Train,
-    /// Inference: running statistics are used, dropout is the identity.
+    /// Inference that can be backpropagated: running statistics are used,
+    /// dropout is the identity, and layers keep their backward state (the
+    /// FitAct post-training stage backpropagates through these forwards).
     #[default]
     Eval,
+    /// Inference only: the outputs of [`Mode::Eval`], with no backward state
+    /// kept. Evaluation, campaign trials and serving run in this mode.
+    Infer,
+}
+
+impl Mode {
+    /// Whether a forward in this mode keeps the state `backward` reads
+    /// (every mode but [`Mode::Infer`]).
+    pub fn keeps_backward_state(self) -> bool {
+        self != Mode::Infer
+    }
 }
 
 /// A differentiable network layer.
 ///
 /// The contract is the classic layer-wise backpropagation protocol:
 ///
-/// 1. `forward(input, mode)` computes the output and caches intermediates,
-/// 2. `backward(grad_output)` consumes the cache, accumulates parameter
-///    gradients and returns the gradient with respect to the input.
+/// 1. `forward(input, mode)` computes the output and, in [`Mode::Train`] and
+///    [`Mode::Eval`], caches the intermediates `backward` needs. In
+///    [`Mode::Infer`] it caches nothing and drops any earlier cache, with
+///    output bits equal to [`Mode::Eval`]'s.
+/// 2. `backward(grad_output)` consumes the cache of the last forward,
+///    accumulates parameter gradients and returns the gradient with respect
+///    to the input.
 ///
 /// Layers are boxed and cloneable so a trained network can be duplicated and
 /// each copy fitted with a different protection scheme.
@@ -72,8 +98,9 @@ pub trait Layer: fmt::Debug + Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::BackwardBeforeForward`] if `forward` has not been
-    /// called, or a shape error if `grad_output` does not match the output.
+    /// Returns [`NnError::BackwardBeforeForward`] if no forward has run
+    /// since the last [`Mode::Infer`] one (or none ran at all), or a shape
+    /// error if `grad_output` does not match the output.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError>;
 
     /// Read-only access to the layer's own (non-nested) parameters.
@@ -142,8 +169,10 @@ impl Clone for Box<dyn Layer> {
 
 /// Caches `input` for a layer's backward pass, reusing the previous cache's
 /// storage when shapes allow so steady-state training does not allocate.
-pub(crate) fn cache_input(cache: &mut Option<Tensor>, input: &Tensor) {
+/// A [`Mode::Infer`] forward empties the cache instead.
+pub(crate) fn cache_input(cache: &mut Option<Tensor>, input: &Tensor, mode: Mode) {
     match cache {
+        _ if !mode.keeps_backward_state() => *cache = None,
         Some(t) => t.copy_from(input),
         None => *cache = Some(input.clone()),
     }
@@ -166,6 +195,48 @@ mod tests {
     #[test]
     fn mode_default_is_eval() {
         assert_eq!(Mode::default(), Mode::Eval);
+        assert!(Mode::Train.keeps_backward_state() && Mode::Eval.keeps_backward_state());
+        assert!(!Mode::Infer.keeps_backward_state());
+    }
+
+    #[test]
+    fn infer_matches_eval_bits_and_keeps_no_backward_state() {
+        use fitact_tensor::init;
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        let image = init::uniform(&[2, 4, 4, 4], -1.0, 1.0, &mut rng);
+        let rows = init::uniform(&[2, 6], -1.0, 1.0, &mut rng);
+        // One training step moves the running statistics off the identity.
+        let mut bn = BatchNorm2d::new(4);
+        bn.forward(&image, Mode::Train).unwrap();
+        let block = Bottleneck::new(4, 1, 1, (4, 4), "b", &mut rng).unwrap();
+        let cases: Vec<(Box<dyn Layer>, &Tensor)> = vec![
+            (Box::new(Conv2d::new(4, 3, 3, 1, 1, &mut rng)), &image),
+            (Box::new(bn), &image),
+            (Box::new(ActivationLayer::relu("a", &[4, 4, 4])), &image),
+            (Box::new(MaxPool2d::new(2, 2)), &image),
+            (Box::new(GlobalAvgPool::new()), &image),
+            (Box::new(Flatten::new()), &image),
+            (Box::new(Linear::new(6, 3, &mut rng)), &rows),
+            (Box::new(Dropout::new(0.5, 0).unwrap()), &rows),
+            (Box::new(block), &image),
+        ];
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (mut layer, input) in cases {
+            let name = layer.name();
+            let eval = layer.forward(input, Mode::Eval).unwrap();
+            assert!(layer.backward(&eval).is_ok(), "{name} after Eval");
+            let infer = layer.forward(input, Mode::Infer).unwrap();
+            assert_eq!(bits(&infer), bits(&eval), "{name}");
+            assert_eq!(infer.dims(), eval.dims(), "{name}");
+            assert!(
+                matches!(
+                    layer.backward(&eval),
+                    Err(NnError::BackwardBeforeForward(_))
+                ),
+                "{name} after Infer"
+            );
+        }
     }
 
     #[test]

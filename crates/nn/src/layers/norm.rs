@@ -7,10 +7,12 @@ use fitact_tensor::Tensor;
 /// Per-channel batch normalisation over `[batch, channels, height, width]`.
 ///
 /// In [`Mode::Train`] the layer normalises with batch statistics and updates
-/// exponential running averages; in [`Mode::Eval`] it uses the running
-/// averages. `gamma`/`beta` are trainable parameters, the running statistics
-/// are buffers — all four live in parameter memory and are therefore part of
-/// the fault space.
+/// exponential running averages; in [`Mode::Eval`] and [`Mode::Infer`] it
+/// uses the running averages. A [`Mode::Infer`] forward reads them in place
+/// and writes only its output: no normalised copy for `backward`.
+/// `gamma`/`beta` are trainable parameters, the running statistics are
+/// buffers — all four live in parameter memory and are therefore part of the
+/// fault space.
 #[derive(Debug, Clone)]
 pub struct BatchNorm2d {
     gamma: Parameter,
@@ -27,7 +29,9 @@ pub struct BatchNorm2d {
 struct BnCache {
     x_hat: Tensor,
     inv_std: Vec<f32>,
-    mode: Mode,
+    /// Whether the forward normalised with batch statistics (Train) rather
+    /// than the running ones (Eval).
+    batch_stats: bool,
     dims: Vec<usize>,
 }
 
@@ -50,6 +54,29 @@ impl BatchNorm2d {
     /// Number of normalised channels.
     pub fn channels(&self) -> usize {
         self.channels
+    }
+
+    /// The [`Mode::Infer`] forward: [`Mode::Eval`]'s arithmetic on the
+    /// running statistics, read in place, with each output written once.
+    fn infer(&self, input: &Tensor, batch: usize, spatial: usize) -> Tensor {
+        let (mean, var) = (self.running_mean.data(), self.running_var.data());
+        let (mean, var) = (mean.as_slice(), var.as_slice());
+        let (gamma, beta) = (self.gamma.data().as_slice(), self.beta.data().as_slice());
+        let x = input.as_slice();
+        let mut out = Vec::with_capacity(x.len());
+        for n in 0..batch {
+            for ch in 0..self.channels {
+                let base = (n * self.channels + ch) * spatial;
+                let (m, inv_std) = (mean[ch], 1.0 / (var[ch] + self.eps).sqrt());
+                let (g, b) = (gamma[ch], beta[ch]);
+                out.extend(
+                    x[base..base + spatial]
+                        .iter()
+                        .map(|&v| g * ((v - m) * inv_std) + b),
+                );
+            }
+        }
+        Tensor::from_vec(out, input.dims()).expect("one output per input element")
     }
 
     fn check_input(&self, input: &Tensor) -> Result<(usize, usize, usize), NnError> {
@@ -78,6 +105,10 @@ impl Layer for BatchNorm2d {
 
         // Per-channel mean and variance (batch statistics in Train, running in Eval).
         let (mean, var): (Vec<f32>, Vec<f32>) = match mode {
+            Mode::Infer => {
+                self.cache = None;
+                return Ok(self.infer(input, batch, spatial));
+            }
             Mode::Train => {
                 let mut mean = vec![0.0f32; c];
                 let mut var = vec![0.0f32; c];
@@ -140,7 +171,7 @@ impl Layer for BatchNorm2d {
         self.cache = Some(BnCache {
             x_hat,
             inv_std,
-            mode,
+            batch_stats: mode == Mode::Train,
             dims: input.dims().to_vec(),
         });
         Ok(out)
@@ -181,29 +212,26 @@ impl Layer for BatchNorm2d {
 
         let mut dx = Tensor::zeros(&cache.dims);
         let dxs = dx.as_mut_slice();
-        match cache.mode {
-            Mode::Train => {
-                // dx = gamma * inv_std / m * (m*g - dbeta - x_hat * dgamma)
-                for n in 0..batch {
-                    for ch in 0..c {
-                        let base = (n * c + ch) * spatial;
-                        let scale = gamma[ch] * cache.inv_std[ch] / m;
-                        for i in base..base + spatial {
-                            dxs[i] = scale * (m * g[i] - dbeta[ch] - xh[i] * dgamma[ch]);
-                        }
+        if cache.batch_stats {
+            // dx = gamma * inv_std / m * (m*g - dbeta - x_hat * dgamma)
+            for n in 0..batch {
+                for ch in 0..c {
+                    let base = (n * c + ch) * spatial;
+                    let scale = gamma[ch] * cache.inv_std[ch] / m;
+                    for i in base..base + spatial {
+                        dxs[i] = scale * (m * g[i] - dbeta[ch] - xh[i] * dgamma[ch]);
                     }
                 }
             }
-            Mode::Eval => {
-                // Running statistics are constants: the layer is a per-channel
-                // affine map, so dx = g * gamma * inv_std.
-                for n in 0..batch {
-                    for (ch, &gm) in gamma.iter().enumerate() {
-                        let base = (n * c + ch) * spatial;
-                        let scale = gm * cache.inv_std[ch];
-                        for i in base..base + spatial {
-                            dxs[i] = scale * g[i];
-                        }
+        } else {
+            // Running statistics are constants: the layer is a per-channel
+            // affine map, so dx = g * gamma * inv_std.
+            for n in 0..batch {
+                for (ch, &gm) in gamma.iter().enumerate() {
+                    let base = (n * c + ch) * spatial;
+                    let scale = gm * cache.inv_std[ch];
+                    for i in base..base + spatial {
+                        dxs[i] = scale * g[i];
                     }
                 }
             }

@@ -51,7 +51,7 @@ impl Layer for MaxPool2d {
         format!("maxpool2d(k{}, s{})", self.kernel, self.stride)
     }
 
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
         if input.ndim() != 4 {
             return Err(NnError::InvalidInput {
                 layer: self.name(),
@@ -68,13 +68,17 @@ impl Layer for MaxPool2d {
         let (out_h, out_w) = conv_output_size((h, w), (self.kernel, self.kernel), self.stride, 0)?;
         let x = input.as_slice();
         let mut out = Tensor::zeros(&[batch, c, out_h, out_w]);
-        // Reuse the previous cache's argmax storage instead of reallocating.
+        // Reuse the previous cache's argmax storage instead of reallocating;
+        // an Infer forward drops it and records no argmax.
+        let keep = mode.keeps_backward_state();
         let mut argmax = match self.cache.take() {
-            Some(cache) => cache.argmax,
-            None => Vec::new(),
+            Some(cache) if keep => cache.argmax,
+            _ => Vec::new(),
         };
-        argmax.clear();
-        argmax.resize(out.numel(), 0);
+        if keep {
+            argmax.clear();
+            argmax.resize(out.numel(), 0);
+        }
         {
             let o = out.as_mut_slice();
             let mut oi = 0usize;
@@ -97,17 +101,21 @@ impl Layer for MaxPool2d {
                                 }
                             }
                             o[oi] = best;
-                            argmax[oi] = best_idx;
+                            if keep {
+                                argmax[oi] = best_idx;
+                            }
                             oi += 1;
                         }
                     }
                 }
             }
         }
-        self.cache = Some(PoolCache {
-            input_dims: input.dims().to_vec(),
-            argmax,
-        });
+        if keep {
+            self.cache = Some(PoolCache {
+                input_dims: input.dims().to_vec(),
+                argmax,
+            });
+        }
         Ok(out)
     }
 
@@ -163,7 +171,7 @@ impl Layer for GlobalAvgPool {
         "global_avg_pool".into()
     }
 
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
         if input.ndim() != 4 {
             return Err(NnError::InvalidInput {
                 layer: self.name(),
@@ -177,7 +185,7 @@ impl Layer for GlobalAvgPool {
             input.dims()[2],
             input.dims()[3],
         );
-        self.cached_dims = Some(input.dims().to_vec());
+        self.cached_dims = mode.keeps_backward_state().then(|| input.dims().to_vec());
         let spatial = (h * w) as f32;
         let x = input.as_slice();
         let mut out = Tensor::zeros(&[batch, c]);

@@ -18,7 +18,6 @@ pub struct Bottleneck {
     main: Sequential,
     shortcut: Option<Sequential>,
     final_act: ActivationLayer,
-    cached_input: Option<Tensor>,
 }
 
 impl Bottleneck {
@@ -89,7 +88,6 @@ impl Bottleneck {
                 format!("{label}.act3"),
                 &[out_channels, out_h, out_w],
             ),
-            cached_input: None,
         })
     }
 
@@ -109,7 +107,6 @@ impl Bottleneck {
             main,
             shortcut,
             final_act,
-            cached_input: None,
         }
     }
 }
@@ -120,20 +117,17 @@ impl Layer for Bottleneck {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
-        self.cached_input = Some(input.clone());
         let main_out = self.main.forward(input, mode)?;
-        let shortcut_out = match &mut self.shortcut {
-            Some(s) => s.forward(input, mode)?,
-            None => input.clone(),
+        let summed = match &mut self.shortcut {
+            Some(s) => main_out.add(&s.forward(input, mode)?)?,
+            None => main_out.add(input)?,
         };
-        let summed = main_out.add(&shortcut_out)?;
         self.final_act.forward(&summed, mode)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        if self.cached_input.is_none() {
-            return Err(NnError::BackwardBeforeForward(self.name()));
-        }
+        // The children hold every cache this reads: before a forward, or
+        // after an Infer one, the final activation has none and refuses.
         let grad_sum = self.final_act.backward(grad_output)?;
         let grad_main = self.main.backward(&grad_sum)?;
         let grad_shortcut = match &mut self.shortcut {

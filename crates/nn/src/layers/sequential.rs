@@ -85,8 +85,10 @@ impl Sequential {
     /// prefix (the fault-campaign engine in `fitact_faults`) rely on two
     /// properties, both of which hold for every layer in this crate:
     ///
-    /// * layers are deterministic functions of `(input, parameters, mode)` in
-    ///   [`Mode::Eval`] — internal caches may mutate, but never the output,
+    /// * layers are deterministic functions of `(input, parameters)` in
+    ///   [`Mode::Eval`] and [`Mode::Infer`], which compute the same bits —
+    ///   what a layer keeps for `backward` never changes an output, so a
+    ///   prefix captured in one of the two modes resumes in the other,
     /// * the cached input must have been produced by the *same* parameter
     ///   values currently held by layers `0..layer_idx`; resuming past a
     ///   layer whose parameters (or activation functions) have since changed
@@ -139,11 +141,14 @@ impl Sequential {
         mode: Mode,
         inspect: &mut dyn FnMut(usize, &Tensor),
     ) -> Result<Tensor, NnError> {
-        let mut x = input.clone();
+        // As in `forward_from`, the first layer reads `input` in place.
+        let mut x: Option<Tensor> = None;
         for (k, layer) in self.layers.iter_mut().enumerate() {
-            inspect(k, &x);
-            x = layer.forward(&x, mode)?;
+            let current = x.as_ref().unwrap_or(input);
+            inspect(k, current);
+            x = Some(layer.forward(current, mode)?);
         }
+        let x = x.unwrap_or_else(|| input.clone());
         inspect(self.layers.len(), &x);
         Ok(x)
     }

@@ -399,18 +399,20 @@ impl Network {
         }
     }
 
-    /// Predicts class indices for a batch of inputs (eval mode).
+    /// Predicts class indices for a batch of inputs ([`Mode::Infer`]: the
+    /// logits of [`Mode::Eval`], with no backward state kept).
     ///
     /// # Errors
     ///
     /// Propagates forward-pass errors.
     pub fn predict(&mut self, input: &Tensor) -> Result<Vec<usize>, NnError> {
-        let logits = self.forward(input, Mode::Eval)?;
+        let logits = self.forward(input, Mode::Infer)?;
         Ok(logits.argmax_rows()?)
     }
 
     /// Evaluates top-1 accuracy over a dataset given as one big input tensor
     /// `[n, ...]` plus targets, processing `batch_size` samples at a time.
+    /// Forwards run in [`Mode::Infer`], so no layer keeps backward state.
     ///
     /// Batch inputs are staged through a persistent [`TensorArena`] slot with
     /// one contiguous copy per batch (axis-0 ranges of a row-major tensor are
@@ -460,7 +462,7 @@ impl Network {
         while start < n {
             let end = (start + batch_size).min(n);
             copy_batch_into(inputs, start, end, staging)?;
-            let logits = self.forward(staging, Mode::Eval)?;
+            let logits = self.forward(staging, Mode::Infer)?;
             let batch_acc = accuracy(&logits, &targets[start..end])?;
             acc.push_weighted(batch_acc, end - start);
             start = end;

@@ -3,8 +3,9 @@
 //! A counting global allocator records every heap allocation; once a first
 //! call has sized the staging buffer, further `copy_batch_into` calls over
 //! equal-shaped ranges must allocate nothing at all. (The full `evaluate`
-//! loop still allocates inside layer forwards — this test pins the slicing
-//! satellite specifically.)
+//! loop also allocates the tensors its `Mode::Infer` layer forwards return;
+//! `crates/core/tests/infer_alloc.rs` pins that those are all it allocates.
+//! This test pins the batch slicing alone.)
 //!
 //! This file holds a single test on purpose: the allocation counter is global
 //! and the default test harness runs tests concurrently.

@@ -582,9 +582,9 @@ impl Coordinator {
         self.shared.cv.notify_all();
     }
 
-    /// Progress snapshot as a JSON line (same shape as `/campaign/status`).
-    pub fn status(&self) -> String {
-        self.shared.status_json(&self.shared.lock()).to_string()
+    /// Progress snapshot, the value `/campaign/status` renders.
+    pub fn status(&self) -> JsonValue {
+        self.shared.status_json(&self.shared.lock())
     }
 
     /// Stops serving and joins the background threads.

@@ -28,6 +28,11 @@ pub struct Metrics {
     responses_total: AtomicU64,
     /// Rows answered with an error (bad input, worker failure, shutdown).
     errors_total: AtomicU64,
+    /// Predicts refused with 400 before queueing: a body that is not JSON
+    /// or carries no valid row.
+    bad_requests_total: AtomicU64,
+    /// Predicts refused with 503 because the queue was full.
+    overloaded_total: AtomicU64,
     /// Micro-batches executed.
     batches_total: AtomicU64,
     /// `histogram[s]` counts batches that executed exactly `s` rows
@@ -114,6 +119,10 @@ pub struct MetricsSnapshot {
     pub responses_total: u64,
     /// Rows answered with an error.
     pub errors_total: u64,
+    /// Predicts refused with 400 before queueing (bad body or rows).
+    pub bad_requests_total: u64,
+    /// Predicts refused with 503 because the queue was full.
+    pub overloaded_total: u64,
     /// Micro-batches executed.
     pub batches_total: u64,
     /// Model reloads performed.
@@ -224,6 +233,8 @@ impl Metrics {
             rows_total: AtomicU64::new(0),
             responses_total: AtomicU64::new(0),
             errors_total: AtomicU64::new(0),
+            bad_requests_total: AtomicU64::new(0),
+            overloaded_total: AtomicU64::new(0),
             batches_total: AtomicU64::new(0),
             batch_histogram: (0..=max_batch).map(|_| AtomicU64::new(0)).collect(),
             reloads_total: AtomicU64::new(0),
@@ -286,6 +297,16 @@ impl Metrics {
     /// Records one row answered with an error.
     pub fn on_error(&self) {
         self.errors_total.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one predict refused with 400 (its body held no valid rows).
+    pub fn on_bad_request(&self) {
+        self.bad_requests_total.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one predict refused with 503 at a full queue.
+    pub fn on_overloaded(&self) {
+        self.overloaded_total.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one model reload.
@@ -426,6 +447,8 @@ impl Metrics {
             rows_total: self.rows_total.load(Ordering::Relaxed),
             responses_total: self.responses_total.load(Ordering::Relaxed),
             errors_total: self.errors_total.load(Ordering::Relaxed),
+            bad_requests_total: self.bad_requests_total.load(Ordering::Relaxed),
+            overloaded_total: self.overloaded_total.load(Ordering::Relaxed),
             batches_total: self.batches_total.load(Ordering::Relaxed),
             reloads_total: self.reloads_total.load(Ordering::Relaxed),
             batch_histogram,
@@ -519,6 +542,8 @@ impl MetricsSnapshot {
             ("rows_total", self.rows_total.into()),
             ("responses_total", self.responses_total.into()),
             ("errors_total", self.errors_total.into()),
+            ("bad_requests_total", self.bad_requests_total.into()),
+            ("overloaded_total", self.overloaded_total.into()),
             ("batches_total", self.batches_total.into()),
             ("reloads_total", self.reloads_total.into()),
             ("batch_size_histogram", histogram),

@@ -98,7 +98,7 @@ pub fn forward_traced(
 ) -> Result<TracedForward, NnError> {
     trace.clear();
     if !snapshot_boundaries {
-        let output = trace::capture(trace, || network.forward(input, Mode::Eval))?;
+        let output = trace::capture(trace, || network.forward(input, Mode::Infer))?;
         return Ok(TracedForward {
             output,
             boundaries: Vec::new(),
@@ -109,7 +109,7 @@ pub fn forward_traced(
     let mut boundaries: Vec<Tensor> = Vec::with_capacity(depth);
     let mut layer_totals: Vec<u64> = Vec::with_capacity(depth + 1);
     let output = trace::capture(trace, || {
-        network.forward_inspect(input, Mode::Eval, &mut |k, boundary| {
+        network.forward_inspect(input, Mode::Infer, &mut |k, boundary| {
             layer_totals.push(trace::active_total().unwrap_or(0));
             if k < depth {
                 boundaries.push(boundary.clone());
@@ -259,7 +259,7 @@ mod tests {
             let bound = self.bound;
             Ok(input.map(|x| if x > 0.0 && x <= bound { x } else { 0.0 }))
         }
-        fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
+        fn backward(&mut self, _: &Tensor, grad_output: &Tensor) -> Result<Tensor, NnError> {
             Ok(grad_output.clone())
         }
         fn eval_scalar(&self, x: f32, _neuron: usize) -> f32 {
@@ -299,8 +299,8 @@ mod tests {
             }
             Ok(out)
         }
-        fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-            self.inner.backward(grad_output)
+        fn backward(&mut self, input: &Tensor, grad_output: &Tensor) -> Result<Tensor, NnError> {
+            self.inner.backward(input, grad_output)
         }
         fn eval_scalar(&self, x: f32, neuron: usize) -> f32 {
             self.inner.eval_scalar(x, neuron)

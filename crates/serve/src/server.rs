@@ -509,7 +509,7 @@ fn worker_loop(shared: &Arc<Shared>, canary: Option<mpsc::SyncSender<CanaryJob>>
                                 if let Ok(retried) = network.forward_from(
                                     resume,
                                     &traced.boundaries[resume],
-                                    Mode::Eval,
+                                    Mode::Infer,
                                 ) {
                                     let (transient, persistent) =
                                         recovery::compare_rows(&traced.output, &retried, n);
@@ -587,7 +587,7 @@ fn canary_loop(shared: &Arc<Shared>, jobs: &mpsc::Receiver<CanaryJob>) {
                 ));
                 seen_faults = 0;
             }
-            let Ok(clean_out) = clean.forward(&job.input, Mode::Eval) else {
+            let Ok(clean_out) = clean.forward(&job.input, Mode::Infer) else {
                 continue;
             };
             let Ok(traced) = recovery::forward_traced(&mut faulty, &job.input, &mut trace, true)
@@ -610,7 +610,7 @@ fn canary_loop(shared: &Arc<Shared>, jobs: &mpsc::Receiver<CanaryJob>) {
                 let resume =
                     recovery::last_clean_boundary(&traced.layer_totals, &model.activation_layers);
                 if let Ok(retried) =
-                    clean.forward_from(resume, &traced.boundaries[resume], Mode::Eval)
+                    clean.forward_from(resume, &traced.boundaries[resume], Mode::Infer)
                 {
                     // vs. ground truth: a mismatch means a fault upstream of
                     // the resume point slipped under every bound.
@@ -735,7 +735,12 @@ fn parse_rows(body: &[u8], features: usize) -> Result<Vec<Vec<f32>>, String> {
             let v = n
                 .as_f64()
                 .ok_or_else(|| format!("row {i} value {j} is not a number"))?;
-            row.push(v as f32);
+            // A finite f64 beyond f32's range would reach the network as ±∞.
+            let v = v as f32;
+            if !v.is_finite() {
+                return Err(format!("row {i} value {j} is out of f32 range"));
+            }
+            row.push(v);
         }
         rows.push(row);
     }
@@ -746,7 +751,10 @@ fn predict(shared: &Shared, body: &[u8]) -> Reply {
     let model = shared.current_model();
     let rows = match parse_rows(body, model.features) {
         Ok(rows) => rows,
-        Err(message) => return Reply::error(400, &message),
+        Err(message) => {
+            shared.metrics.on_bad_request();
+            return Reply::error(400, &message);
+        }
     };
     let n = rows.len();
     let (tx, rx) = mpsc::channel();
@@ -768,6 +776,7 @@ fn predict(shared: &Shared, body: &[u8]) -> Reply {
             return Reply::error(503, "server is shutting down");
         }
         Err(crate::batcher::PushRejected::Overloaded(_)) => {
+            shared.metrics.on_overloaded();
             return Reply::error(503, "server is overloaded (queue full); retry");
         }
     }
@@ -854,6 +863,9 @@ mod tests {
             (br#"{"inputs": [1]}"#, "not an array"),
             (br#"{"inputs": [[1]]}"#, "the model takes 2"),
             (br#"{"inputs": [["x", 1]]}"#, "not a number"),
+            (br#"{"inputs": [[1e39, 1]]}"#, "out of f32 range"),
+            (br#"{"input": [1, -3.5e38]}"#, "out of f32 range"),
+            (br#"{"input": [1, 1e999]}"#, "invalid JSON"),
             (b"\xff\xfe", "UTF-8"),
         ] {
             let err = parse_rows(body, 2).unwrap_err();
@@ -896,7 +908,11 @@ mod tests {
             ModelArtifact::capture(&net).unwrap().save(&path).unwrap();
         };
         save_mlp(4);
-        let shared = Arc::new(Shared::new(path.clone(), &ServeConfig::default()).unwrap());
+        let config = ServeConfig {
+            max_queue: 2,
+            ..ServeConfig::default()
+        };
+        let shared = Arc::new(Shared::new(path.clone(), &config).unwrap());
         let (tx, rx) = mpsc::channel();
         let pending = |features: usize, row: usize| PendingRow {
             input: vec![1.0; features],
@@ -911,6 +927,18 @@ mod tests {
         let _ = reload(&shared);
         assert_eq!(shared.generation.load(Ordering::Acquire), 2);
         shared.queue.push(vec![pending(8, 1)]).unwrap();
+        // Rejected predicts are counted: a body with no valid row (400),
+        // and a valid row that finds the two-row queue full (503).
+        let _ = predict(&shared, br#"{"input": [1, 2, 3, 4]}"#);
+        let _ = predict(&shared, br#"{"input": [1, 2, 3, 4, 5, 6, 7, 8]}"#);
+        let snapshot = shared.metrics.snapshot();
+        assert_eq!(
+            (snapshot.bad_requests_total, snapshot.overloaded_total),
+            (1, 1)
+        );
+        let body = snapshot.to_json();
+        assert_eq!(body.get("bad_requests_total"), Some(&JsonValue::from(1u64)));
+        assert_eq!(body.get("overloaded_total"), Some(&JsonValue::from(1u64)));
         // The worker drains both rows, then exits on the shut queue.
         shared.queue.shutdown();
         worker_loop(&shared, None);

@@ -5,10 +5,11 @@
 //! invariance, serial against distributed, saved against loaded), so a change
 //! that moved every forward the same way would pass all of them. This suite
 //! fills AlexNet and VGG16 at width 0.0626, and one stride-2 ResNet
-//! `Bottleneck`, with SplitMix64 parameters and inputs, runs eval-mode
-//! forwards at batch 32 and batch 1, and compares an FNV-1a hash of the
-//! output bits with values recorded before the convolution lowering was
-//! rewritten. The VGG16 is also protected by each hard-bounded scheme, and
+//! `Bottleneck`, with SplitMix64 parameters and inputs, runs forwards at
+//! batch 32 and batch 1 in both inference modes, and compares an FNV-1a hash
+//! of the output bits with values recorded before the convolution lowering
+//! was rewritten. `Mode::Eval` keeps backward state and `Mode::Infer` keeps
+//! none; both must reproduce the same constants. The VGG16 is also protected by each hard-bounded scheme, and
 //! the hash of its saved artifact is pinned with its logits.
 //!
 //! Nothing here calls libm: the Box–Muller initialisers and the synthetic
@@ -103,18 +104,23 @@ fn tiny() -> ModelConfig {
     ModelConfig::new(10).with_width(0.0626).with_seed(3)
 }
 
+/// Every test runs in both modes.
+const INFERENCE_MODES: [Mode; 2] = [Mode::Eval, Mode::Infer];
+
 #[test]
 fn alexnet_logits_match_the_recorded_bits() {
     let mut rng = SplitMix64(0xa1e7);
     let mut net = alexnet(&tiny()).unwrap();
     fill(net.params_mut(), &mut rng);
     let x = rng.tensor(&[32, 3, 32, 32], -1.0, 1.0);
-    let got = hashes(|x| net.forward(x, Mode::Eval).unwrap(), &x);
-    assert_eq!(
-        got, ALEXNET,
-        "alexnet: (batch 32, batch 1) = ({:#018x}, {:#018x})",
-        got.0, got.1
-    );
+    for mode in INFERENCE_MODES {
+        let got = hashes(|x| net.forward(x, mode).unwrap(), &x);
+        assert_eq!(
+            got, ALEXNET,
+            "alexnet {mode:?}: (batch 32, batch 1) = ({:#018x}, {:#018x})",
+            got.0, got.1
+        );
+    }
 }
 
 #[test]
@@ -123,12 +129,14 @@ fn vgg16_logits_match_the_recorded_bits() {
     let mut net = vgg16(&tiny()).unwrap();
     fill(net.params_mut(), &mut rng);
     let x = rng.tensor(&[32, 3, 32, 32], -1.0, 1.0);
-    let got = hashes(|x| net.forward(x, Mode::Eval).unwrap(), &x);
-    assert_eq!(
-        got, VGG16,
-        "vgg16: (batch 32, batch 1) = ({:#018x}, {:#018x})",
-        got.0, got.1
-    );
+    for mode in INFERENCE_MODES {
+        let got = hashes(|x| net.forward(x, mode).unwrap(), &x);
+        assert_eq!(
+            got, VGG16,
+            "vgg16 {mode:?}: (batch 32, batch 1) = ({:#018x}, {:#018x})",
+            got.0, got.1
+        );
+    }
 }
 
 #[test]
@@ -157,16 +165,18 @@ fn hard_bounded_schemes_match_the_recorded_bits() {
     ] {
         let mut net = base.clone();
         apply_protection(&mut net, &profile, scheme).unwrap();
-        let (batch, single) = hashes(|x| net.forward(x, Mode::Eval).unwrap(), &x);
         let artifact = ModelArtifact::capture_protected(&net, Some(&profile), Some(scheme))
             .unwrap()
             .to_bytes();
-        let got = (batch, single, fnv1a(&artifact));
-        assert_eq!(
-            got, expected,
-            "{scheme}: (batch 32, batch 1, artifact) = ({:#018x}, {:#018x}, {:#018x})",
-            got.0, got.1, got.2
-        );
+        for mode in INFERENCE_MODES {
+            let (batch, single) = hashes(|x| net.forward(x, mode).unwrap(), &x);
+            let got = (batch, single, fnv1a(&artifact));
+            assert_eq!(
+                got, expected,
+                "{scheme} {mode:?}: (batch 32, batch 1, artifact) = ({:#018x}, {:#018x}, {:#018x})",
+                got.0, got.1, got.2
+            );
+        }
     }
 }
 
@@ -180,12 +190,14 @@ fn strided_bottleneck_output_matches_the_recorded_bits() {
         Bottleneck::new(8, 4, 2, (8, 8), "block", &mut StdRng::seed_from_u64(0)).unwrap();
     fill(block.params_mut(), &mut rng);
     let x = rng.tensor(&[32, 8, 8, 8], -1.0, 1.0);
-    let got = hashes(|x| block.forward(x, Mode::Eval).unwrap(), &x);
-    assert_eq!(
-        got, BOTTLENECK,
-        "bottleneck: (batch 32, batch 1) = ({:#018x}, {:#018x})",
-        got.0, got.1
-    );
+    for mode in INFERENCE_MODES {
+        let got = hashes(|x| block.forward(x, mode).unwrap(), &x);
+        assert_eq!(
+            got, BOTTLENECK,
+            "bottleneck {mode:?}: (batch 32, batch 1) = ({:#018x}, {:#018x})",
+            got.0, got.1
+        );
+    }
 }
 
 // Recorded from the per-output-row im2col lowering, which every convolution

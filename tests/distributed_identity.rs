@@ -14,7 +14,7 @@ use fitact_faults::{
     quantize_network, AllocationPolicy, Campaign, CampaignControl, FaultError, FaultModel,
     RunOutcome, StatCampaignConfig, StratumPool, TransientBitFlip, TrialPoint, UnitRunner,
 };
-use fitact_io::{fingerprint_bytes, CampaignCheckpoint, ModelArtifact};
+use fitact_io::{fingerprint_bytes, CampaignCheckpoint, JsonValue, ModelArtifact};
 use fitact_nn::layers::{ActivationLayer, Flatten, Linear, Sequential};
 use fitact_nn::Network;
 use fitact_serve::http::Response;
@@ -141,17 +141,6 @@ fn scratch_path(name: &str) -> PathBuf {
     dir.join(format!("{name}-{}", std::process::id()))
 }
 
-/// Extracts `"key":<integer>` from a status JSON line.
-fn status_field(status: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    let rest = &status[status.find(&needle).expect("status field present") + needle.len()..];
-    rest.chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
-
 /// Degradation floor: with `local_execute` the coordinator completes the
 /// campaign with zero workers, bit-identical to the serial run.
 fn solo_matches_serial(config: StatCampaignConfig) {
@@ -264,8 +253,13 @@ fn death_and_restart_matches_serial(config: StatCampaignConfig, ckpt_name: &str)
     .unwrap();
     let addr = coordinator.addr();
     assert_eq!(addr.port(), port, "coordinator rebinds its old port");
+    let total_trials = coordinator
+        .status()
+        .get("total_trials")
+        .and_then(JsonValue::as_f64)
+        .expect("the status carries total_trials");
     assert!(
-        status_field(&coordinator.status(), "total_trials") >= merged_trials as u64,
+        total_trials >= merged_trials as f64,
         "restart resumed the two merged units from the checkpoint"
     );
     assert!(merged_trials > 0, "mortal merged at least one trial");
